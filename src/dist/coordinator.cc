@@ -1,8 +1,6 @@
 #include "dist/coordinator.h"
 
-#include <sys/socket.h>
-
-#include <algorithm>
+#include <poll.h>
 
 #include "common/annotations.h"
 #include "common/rng.h"
@@ -36,49 +34,30 @@ Status Coordinator::Start() {
         std::to_string(shards_.size()));
   }
   const uint32_t num_shards = map_.num_shards;
+  MutexLock lock(&mu_);
+  if (started_) return Status::FailedPrecondition("Coordinator already started");
   scratch_.shard_frames.resize(num_shards);
   scratch_.shard_ok.assign(num_shards, 0);
   scratch_.responses.resize(num_shards);
   scratch_.cursor.assign(num_shards, 0);
-
-  MutexLock lock(&mu_);
-  if (started_) return Status::FailedPrecondition("Coordinator already started");
-  channels_.reserve(size_t{num_shards} * 2);
+  scratch_.poll_fds.resize(size_t{num_shards} * 2);
+  channels_.resize(size_t{num_shards} * 2);
   for (uint32_t s = 0; s < num_shards; ++s) {
-    for (int role = 0; role < 2; ++role) {
-      auto ch = std::make_unique<Channel>();
-      ch->shard = s;
-      ch->is_hedge = role == 1;
-      ch->endpoint = (role == 1 && shards_[s].has_replica)
-                         ? shards_[s].replica
-                         : shards_[s].primary;
-      Channel* raw = ch.get();
-      ch->thread = std::thread([this, raw] { ChannelLoop(raw); });
-      channels_.push_back(std::move(ch));
-    }
+    channels_[size_t{s} * 2].endpoint = shards_[s].primary;
+    channels_[size_t{s} * 2 + 1].endpoint =
+        shards_[s].has_replica ? shards_[s].replica : shards_[s].primary;
   }
   started_ = true;
   return Status::OK();
 }
 
 void Coordinator::Stop() {
-  std::vector<std::unique_ptr<Channel>> channels;
   {
     MutexLock lock(&mu_);
     if (!started_ || stopping_) return;
     stopping_ = true;
-    ++query_epoch_;
-    for (std::unique_ptr<Channel>& ch : channels_) {
-      ch->work_pending = false;
-      ch->request = nullptr;
-      if (ch->live_fd >= 0) ::shutdown(ch->live_fd, SHUT_RDWR);
-    }
-    work_cv_.NotifyAll();
-    channels.swap(channels_);
   }
-  for (std::unique_ptr<Channel>& ch : channels) {
-    if (ch->thread.joinable()) ch->thread.join();
-  }
+  for (Channel& ch : channels_) ch.socket.Close();
 }
 
 uint64_t Coordinator::queries() const {
@@ -96,173 +75,137 @@ uint64_t Coordinator::hedges_fired() const {
   return hedges_fired_;
 }
 
-void Coordinator::ChannelLoop(Channel* ch) {
-  for (;;) {
-    uint64_t epoch = 0;
-    RpcDeadline io_deadline = kNoRpcDeadline;
-    {
-      MutexLock lock(&mu_);
-      while (!stopping_ && !ch->work_pending) work_cv_.Wait(&mu_);
-      if (stopping_) break;
-      ch->work_pending = false;
-      epoch = ch->epoch;
-      io_deadline = ch->io_deadline;
-      // Copy the frame before dropping mu_: ch->request points into
-      // TopK-owned scratch that the next query re-encodes as soon as
-      // this wave retires, so it must never be read unlocked. Claiming
-      // and copying in one critical section means that once RunWave's
-      // cancel section has run, no thread still holds the pointer.
-      ch->request_copy.assign(ch->request->begin(), ch->request->end());
-      ch->request = nullptr;
-    }
-
-    Status status = Status::OK();
-    if (!ch->socket.valid()) {
-      Result<Socket> conn =
-          Socket::Connect(ch->endpoint.host, ch->endpoint.port, io_deadline);
-      if (conn.ok()) {
-        ch->socket = std::move(conn).value();
-        MutexLock lock(&mu_);
-        ch->live_fd = ch->socket.fd();
-      } else {
-        status = conn.status();
-      }
-    }
-    if (status.ok()) {
-      status = SendFrame(ch->socket, ch->request_copy, io_deadline);
-    }
-    if (status.ok()) {
-      Result<FrameHeader> header =
-          RecvFrame(ch->socket, &ch->recv_frame, io_deadline);
-      if (!header.ok()) status = header.status();
-    }
-
-    MutexLock lock(&mu_);
-    if (!status.ok()) {
-      // Dead, canceled, or desynced stream: drop the connection so the
-      // channel's next request reconnects (the worker-rejoin path).
-      ch->socket.Close();
-      ch->live_fd = -1;
-    }
-    if (epoch == query_epoch_ && !ch->result_ready) {
-      ch->result_ready = true;
-      ch->result_status = status;
-      ch->result_frame.swap(ch->recv_frame);
-      done_cv_.NotifyAll();
+void Coordinator::StartRequest(Channel* ch, const std::vector<uint8_t>& frame,
+                               RpcDeadline deadline) {
+  ch->state = Channel::State::kFailed;
+  if (!ch->socket.valid()) {
+    bool pending = false;
+    Result<Socket> conn =
+        Socket::StartConnect(ch->endpoint.host, ch->endpoint.port, &pending);
+    if (!conn.ok()) return;
+    ch->socket = std::move(conn).value();
+    if (pending) {
+      ch->state = Channel::State::kConnecting;
+      return;
     }
   }
+  // At most one request is outstanding per connection, so the frame
+  // goes into an empty socket buffer and the send does not wait in
+  // practice; the deadline bounds it when it does.
+  if (!SendFrame(ch->socket, frame, deadline).ok()) {
+    ch->socket.Close();
+    return;
+  }
+  ch->reader.Begin(&ch->recv_frame);
+  ch->state = Channel::State::kAwaiting;
+}
+
+void Coordinator::Advance(Channel* ch, const std::vector<uint8_t>& frame,
+                          RpcDeadline deadline) {
+  if (ch->state == Channel::State::kConnecting) {
+    if (ch->socket.FinishConnect().ok()) {
+      StartRequest(ch, frame, deadline);
+      return;
+    }
+  } else {
+    FrameHeader header;
+    const Result<bool> done =
+        ch->reader.ReadSome(ch->socket, &ch->recv_frame, &header);
+    if (done.ok()) {
+      if (done.value()) ch->state = Channel::State::kAnswered;
+      return;
+    }
+  }
+  // Refused, dead, or desynced stream: drop the connection so the
+  // channel's next request reconnects (the worker-rejoin path).
   ch->socket.Close();
-  MutexLock lock(&mu_);
-  ch->live_fd = -1;
-}
-
-void Coordinator::SubmitLocked(Channel* ch, const std::vector<uint8_t>* frame,
-                               uint64_t epoch, RpcDeadline io_deadline) {
-  ch->work_pending = true;
-  ch->epoch = epoch;
-  ch->request = frame;
-  ch->io_deadline = io_deadline;
-  ch->result_ready = false;
-  ch->result_status = Status::OK();
-}
-
-void Coordinator::CancelInFlightLocked() {
-  for (std::unique_ptr<Channel>& ch : channels_) {
-    if (ch->epoch != query_epoch_ || ch->result_ready) continue;
-    if (ch->work_pending) {
-      // Never picked up: just retract it (and the borrowed frame
-      // pointer with it, before the scratch it targets is reused).
-      ch->work_pending = false;
-      ch->request = nullptr;
-      continue;
-    }
-    // Mid-flight: tear the stream down (see header on why the
-    // connection cannot be reused after an abandoned response).
-    if (ch->live_fd >= 0) ::shutdown(ch->live_fd, SHUT_RDWR);
-  }
+  ch->state = Channel::State::kFailed;
 }
 
 uint32_t Coordinator::RunWave(const std::vector<uint8_t>& frame,
                               uint32_t shard_lo, uint32_t shard_hi,
                               RpcDeadline hedge_time, RpcDeadline deadline,
                               DistTopKResult* result) {
-  const uint32_t num_targets = shard_hi - shard_lo;
-  const RpcDeadline io_deadline = deadline + options_.io_grace;
-  uint32_t answered = 0;
-
-  MutexLock lock(&mu_);
-  const uint64_t epoch = ++query_epoch_;
+  using State = Channel::State;
   for (uint32_t s = shard_lo; s < shard_hi; ++s) {
-    SubmitLocked(channels_[size_t{s} * 2].get(), &frame, epoch, io_deadline);
+    channels_[size_t{s} * 2 + 1].state = State::kIdle;
+    StartRequest(&channels_[size_t{s} * 2], frame, deadline);
   }
-  work_cv_.NotifyAll();
 
-  // A shard is settled once a channel answered OK, or once its primary
-  // failed and no rescue can come — hedging is off for this query, or
-  // the hedge was submitted and failed too. Waiting longer on a failed
+  // A shard is settled once a channel answered, or once its primary
+  // failed and no rescue can come — hedging is off for this wave, or
+  // the hedge was sent and failed too. Waiting longer on a failed
   // shard cannot produce an answer, so a fast connection refusal must
   // not stall the wave until the deadline.
-  bool hedged = false;
   const bool hedging_enabled = hedge_time < deadline;
+  bool hedged = false;
+  const size_t c_lo = size_t{shard_lo} * 2;
+  const size_t c_hi = size_t{shard_hi} * 2;
   for (;;) {
-    uint32_t settled = 0;
+    // poll_fds[c] watches channel c; poll(2) skips the negative fds of
+    // channels that are not in flight or whose shard has settled.
+    uint32_t unsettled = 0;
     for (uint32_t s = shard_lo; s < shard_hi; ++s) {
-      const Channel& prim = *channels_[size_t{s} * 2];
-      const Channel& hedge = *channels_[size_t{s} * 2 + 1];
-      const bool prim_done = prim.epoch == epoch && prim.result_ready;
-      const bool hedge_done = hedge.epoch == epoch && hedge.result_ready;
-      const bool any_ok = (prim_done && prim.result_status.ok()) ||
-                          (hedge_done && hedge.result_status.ok());
-      const bool prim_failed = prim_done && !prim.result_status.ok();
-      const bool hedge_failed = hedge_done && !hedge.result_status.ok();
-      const bool no_rescue = hedging_enabled ? hedge_failed : true;
-      if (any_ok || (prim_failed && no_rescue)) ++settled;
+      const State prim = channels_[size_t{s} * 2].state;
+      const State hedge = channels_[size_t{s} * 2 + 1].state;
+      const bool settled =
+          prim == State::kAnswered || hedge == State::kAnswered ||
+          (prim == State::kFailed &&
+           (!hedging_enabled || hedge == State::kFailed));
+      if (!settled) ++unsettled;
+      for (size_t c = size_t{s} * 2; c < size_t{s} * 2 + 2; ++c) {
+        const Channel& ch = channels_[c];
+        scratch_.poll_fds[c] = pollfd{
+            !settled && ch.in_flight() ? ch.socket.fd() : -1,
+            ch.state == State::kConnecting ? POLLOUT : POLLIN, 0};
+      }
     }
-    if (settled == num_targets) break;
+    if (unsettled == 0) break;
+
+    const auto now = std::chrono::steady_clock::now();
+    if (now >= deadline) break;
+    if (!hedged && hedging_enabled && now >= hedge_time) {
+      hedged = true;
+      uint32_t fired = 0;
+      for (uint32_t s = shard_lo; s < shard_hi; ++s) {
+        if (channels_[size_t{s} * 2].state == State::kAnswered) continue;
+        StartRequest(&channels_[size_t{s} * 2 + 1], frame, deadline);
+        ++fired;
+      }
+      result->hedges_fired += fired;
+      MutexLock lock(&mu_);
+      hedges_fired_ += fired;
+      continue;
+    }
 
     const RpcDeadline wake =
         (!hedged && hedging_enabled) ? hedge_time : deadline;
-    const bool timed_out = done_cv_.WaitUntil(&mu_, wake);
-    if (!timed_out) continue;
-    if (!hedged && hedging_enabled &&
-        std::chrono::steady_clock::now() < deadline) {
-      hedged = true;
-      for (uint32_t s = shard_lo; s < shard_hi; ++s) {
-        const Channel& prim = *channels_[size_t{s} * 2];
-        if (prim.epoch == epoch && prim.result_ready &&
-            prim.result_status.ok()) {
-          continue;  // already answered; no hedge needed
-        }
-        SubmitLocked(channels_[size_t{s} * 2 + 1].get(), &frame, epoch,
-                     io_deadline);
-        ++hedges_fired_;
-        ++result->hedges_fired;
+    const int ready =
+        ::poll(&scratch_.poll_fds[c_lo], c_hi - c_lo, PollTimeoutMs(wake));
+    if (ready <= 0) continue;  // timeout or EINTR: re-check the clock
+    for (size_t c = c_lo; c < c_hi; ++c) {
+      if (scratch_.poll_fds[c].revents != 0) {
+        Advance(&channels_[c], frame, deadline);
       }
-      work_cv_.NotifyAll();
-      continue;
     }
-    if (std::chrono::steady_clock::now() >= deadline) break;
   }
 
+  uint32_t answered = 0;
   for (uint32_t s = shard_lo; s < shard_hi; ++s) {
     scratch_.shard_frames[s].clear();
-    Channel* prim = channels_[size_t{s} * 2].get();
-    Channel* hedge = channels_[size_t{s} * 2 + 1].get();
-    Channel* src = nullptr;
-    if (prim->epoch == epoch && prim->result_ready &&
-        prim->result_status.ok()) {
-      src = prim;
-    } else if (hedge->epoch == epoch && hedge->result_ready &&
-               hedge->result_status.ok()) {
-      src = hedge;
-    }
-    if (src != nullptr) {
-      scratch_.shard_frames[s].swap(src->result_frame);
-      ++answered;
+    for (size_t c = size_t{s} * 2; c < size_t{s} * 2 + 2; ++c) {
+      Channel& ch = channels_[c];
+      if (ch.state == State::kAnswered && scratch_.shard_frames[s].empty()) {
+        scratch_.shard_frames[s].swap(ch.recv_frame);
+        ++answered;
+      } else if (ch.in_flight()) {
+        // Abandoned mid-request: close the stream (see header on why
+        // the connection cannot be reused).
+        ch.socket.Close();
+        ch.state = State::kFailed;
+      }
     }
   }
-  CancelInFlightLocked();
-  ++query_epoch_;  // freeze: late completions are discarded
   return answered;
 }
 

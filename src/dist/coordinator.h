@@ -30,38 +30,45 @@
 //     from the owning shards and computes the same blend. The replay
 //     needs only row numbers, which the merge already has.
 //
-// ## Deadline / hedging state machine (per query)
+// ## Deadline / hedging state machine (per wave)
 //
-//     submit primaries ──▶ wait ──▶ all done? ──▶ merge (exact)
+//     send primaries ──▶ poll ──▶ all settled? ──▶ merge (exact)
 //          │ hedge_delay passes with shard(s) silent
 //          ▼
-//     submit hedges (replica, or 2nd connection) ──▶ wait
+//     send hedges (replica, or 2nd connection) ──▶ poll
 //          │ deadline passes with shard(s) still silent
 //          ▼
-//     cancel stragglers (epoch bump + socket shutdown),
+//     close every socket still in flight,
 //     return partial results with degraded = true
 //
-// A canceled request's connection is torn down rather than reused —
-// the QRKF stream has no way to skip an abandoned response, so
-// cancel-by-disconnect is what keeps request/response framing in sync.
-// Late answers that raced the cancel are discarded by the epoch check;
-// a channel whose connection died reconnects on its next request,
-// which is also the worker-rejoin path.
+// A canceled request's connection is closed rather than reused — the
+// QRKF stream has no way to skip an abandoned response, so
+// cancel-by-disconnect is what keeps request/response framing in sync
+// and why no late answer can reach a later query. A channel whose
+// connection was closed reconnects on its next request, which is also
+// the worker-rejoin path.
 //
-// Thread model: Start() spawns two persistent channel threads per
-// shard (primary + hedge), all sharing one coordinator mutex for
-// state handoff; socket I/O runs unlocked. A Coordinator instance
-// serves ONE query at a time (TopK is externally synchronized) — run
-// one Coordinator per client thread, mirroring TopKScratch.
+// Thread model: there are no coordinator threads. The thread that
+// calls TopK drives every shard socket itself: it connects and sends
+// on non-blocking sockets, then waits in one poll(2) over the sockets
+// still in flight, timed to the next of the hedge time and the
+// deadline. A FrameReader per socket advances each response by
+// whatever bytes have arrived, so a peer that stalls mid-frame holds
+// up only its own socket, never the wave or that shard's hedge.
+// Start, TopK and Stop are externally synchronized: call them from the
+// thread that owns the Coordinator (or hand it over with a
+// happens-before edge such as a thread join). Run one Coordinator per
+// client thread, mirroring TopKScratch. The counters may be read from
+// any thread.
 
 #ifndef QRANK_DIST_COORDINATOR_H_
 #define QRANK_DIST_COORDINATOR_H_
 
+#include <poll.h>
+
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/status.h"
@@ -93,9 +100,6 @@ struct CoordinatorOptions {
   /// How long a shard may stay silent before its hedge request fires.
   /// >= query_deadline disables hedging.
   std::chrono::milliseconds hedge_delay{60};
-  /// Slack past the query deadline granted to channel socket I/O as a
-  /// backstop — explicit cancellation is the primary mechanism.
-  std::chrono::milliseconds io_grace{1000};
 };
 
 /// One distributed TopK answer. Reuse the instance across queries:
@@ -121,12 +125,14 @@ class Coordinator {
   Coordinator(const Coordinator&) = delete;
   Coordinator& operator=(const Coordinator&) = delete;
 
-  /// Spawns the channel threads. No connections are opened yet —
-  /// channels connect lazily on their first request and reconnect on
-  /// the next request after a failure (the worker-rejoin path).
+  /// Prepares the channels and per-query scratch. No connections are
+  /// opened yet — channels connect lazily on their first request and
+  /// reconnect on the next request after a failure (the worker-rejoin
+  /// path).
   Status Start() QRANK_EXCLUDES(mu_);
 
-  /// Cancels any in-flight work and joins all channel threads.
+  /// Closes every connection; later TopK calls fail. Call it from the
+  /// owner thread, never concurrently with TopK (see header comment).
   void Stop() QRANK_EXCLUDES(mu_);
 
   /// Distributed top-k. Exact (oracle-identical) when result->degraded
@@ -142,42 +148,26 @@ class Coordinator {
   uint64_t hedges_fired() const QRANK_EXCLUDES(mu_);
 
  private:
-  /// One persistent request/response lane: a channel owns one socket
-  /// and one thread; the coordinator hands it an encoded frame and
-  /// collects the raw response frame. Two channels per shard (primary
-  /// = channels_[2s], hedge = channels_[2s+1]).
-  ///
-  /// The handoff fields below (work_pending .. live_fd) are guarded by
-  /// Coordinator::mu_ — expressed in prose because GUARDED_BY cannot
-  /// name an enclosing object's member from a nested struct; the TSan
-  /// loopback suite enforces it dynamically. socket/recv_frame are
-  /// channel-thread-private.
+  /// One persistent request/response lane to a shard endpoint, driven
+  /// by the TopK thread. Two channels per shard (primary =
+  /// channels_[2s], hedge = channels_[2s+1]).
   struct Channel {
+    enum class State : uint8_t {
+      kIdle,        // not asked in this wave
+      kConnecting,  // non-blocking connect in progress; frame not sent
+      kAwaiting,    // request sent, response frame partly read
+      kAnswered,    // recv_frame holds a complete, CRC-valid frame
+      kFailed,      // connection closed; reconnects on next request
+    };
     ShardEndpoint endpoint;
-    uint32_t shard = 0;
-    bool is_hedge = false;
-
-    std::thread thread;
-
-    // Guarded by Coordinator::mu_.
-    bool work_pending = false;
-    uint64_t epoch = 0;
-    /// Borrowed pointer into TopK-owned scratch; only valid while
-    /// work_pending is set. The channel thread copies the frame into
-    /// request_copy in the SAME critical section that claims the work,
-    /// so the pointer is never dereferenced unlocked (RunWave retracts
-    /// unclaimed work before TopK may re-encode the scratch buffer).
-    const std::vector<uint8_t>* request = nullptr;
-    RpcDeadline io_deadline = kNoRpcDeadline;
-    bool result_ready = false;
-    Status result_status;
-    std::vector<uint8_t> result_frame;
-    int live_fd = -1;  // for cancel-by-disconnect; -1 when unconnected
-
-    // Channel-thread-private.
     Socket socket;
-    std::vector<uint8_t> request_copy;
     std::vector<uint8_t> recv_frame;
+    FrameReader reader;  // progress through recv_frame
+    State state = State::kIdle;
+
+    bool in_flight() const {
+      return state == State::kConnecting || state == State::kAwaiting;
+    }
   };
 
   /// Tracks one exploration promotion so an unresolvable row (owner
@@ -200,24 +190,24 @@ class Coordinator {
     WireResolveRequest resolve_request;
     WireResolveResponse resolve_response;
     std::vector<Promotion> promotions;
+    std::vector<pollfd> poll_fds;  // slot per channel
   };
 
-  void ChannelLoop(Channel* ch);
+  /// Sends `frame` on ch, connecting first if the channel has no
+  /// connection (the connect may finish later, in RunWave's poll).
+  void StartRequest(Channel* ch, const std::vector<uint8_t>& frame,
+                    RpcDeadline deadline);
 
-  void SubmitLocked(Channel* ch, const std::vector<uint8_t>* frame,
-                    uint64_t epoch, RpcDeadline io_deadline)
-      QRANK_REQUIRES(mu_);
-
-  /// Cancels every channel still working on the current epoch: clears
-  /// unclaimed work, shuts down mid-flight connections. The caller
-  /// bumps query_epoch_ right after, which invalidates late results.
-  void CancelInFlightLocked() QRANK_REQUIRES(mu_);
+  /// Moves ch forward after poll reported its socket ready: finishes a
+  /// connect and sends, or reads what has arrived of the response.
+  void Advance(Channel* ch, const std::vector<uint8_t>& frame,
+               RpcDeadline deadline);
 
   /// Fans `frame` to shards [shard_lo, shard_hi), hedging silent
   /// shards at hedge_time, and collects raw response frames into
   /// scratch_.shard_frames (empty = no transport-level answer) until
-  /// every shard answered or `deadline`. Returns the number of shards
-  /// that answered.
+  /// every shard settled or `deadline`, then closes every connection
+  /// still in flight. Returns the number of shards that answered.
   uint32_t RunWave(const std::vector<uint8_t>& frame, uint32_t shard_lo,
                    uint32_t shard_hi, RpcDeadline hedge_time,
                    RpcDeadline deadline, DistTopKResult* result)
@@ -238,16 +228,14 @@ class Coordinator {
   const std::vector<ShardAddress> shards_;
   const CoordinatorOptions options_;
 
-  QueryScratch scratch_;           // TopK-thread-private
-  uint64_t next_request_id_ = 1;   // TopK-thread-private
+  // Owner-thread state (Start/TopK/Stop, see header comment).
+  std::vector<Channel> channels_;
+  QueryScratch scratch_;
+  uint64_t next_request_id_ = 1;
 
   mutable Mutex mu_;
-  CondVar work_cv_;  // channels wait for work
-  CondVar done_cv_;  // TopK waits for completions
   bool started_ QRANK_GUARDED_BY(mu_) = false;
   bool stopping_ QRANK_GUARDED_BY(mu_) = false;
-  uint64_t query_epoch_ QRANK_GUARDED_BY(mu_) = 0;
-  std::vector<std::unique_ptr<Channel>> channels_ QRANK_GUARDED_BY(mu_);
   uint64_t queries_ QRANK_GUARDED_BY(mu_) = 0;
   uint64_t degraded_queries_ QRANK_GUARDED_BY(mu_) = 0;
   uint64_t hedges_fired_ QRANK_GUARDED_BY(mu_) = 0;

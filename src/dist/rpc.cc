@@ -19,26 +19,13 @@ Status ErrnoStatus(const char* what) {
   return Status::IOError(std::string(what) + ": " + std::strerror(errno));
 }
 
-/// Milliseconds until `deadline` for poll(2): -1 = block forever,
-/// 0 = already expired (callers treat as timeout before polling).
-int RemainingMs(RpcDeadline deadline) {
-  if (deadline == kNoRpcDeadline) return -1;
-  const auto now = std::chrono::steady_clock::now();
-  if (now >= deadline) return 0;
-  const auto ms =
-      std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now)
-          .count() +
-      1;  // round up so we never poll(0) while time remains
-  return ms > INT_MAX ? INT_MAX : static_cast<int>(ms);
-}
-
 /// Blocks until fd is ready for `events` or the deadline passes.
 /// POLLERR/POLLHUP also count as ready: the subsequent send/recv
 /// reports the precise error.
 Status WaitReady(int fd, short events, RpcDeadline deadline,
                  const char* what) {
   for (;;) {
-    const int ms = RemainingMs(deadline);
+    const int ms = PollTimeoutMs(deadline);
     if (ms == 0) {
       return Status::IOError(std::string(what) + ": deadline exceeded");
     }
@@ -67,6 +54,17 @@ void SetNoDelay(int fd) {
 
 }  // namespace
 
+int PollTimeoutMs(RpcDeadline deadline) {
+  if (deadline == kNoRpcDeadline) return -1;
+  const auto now = std::chrono::steady_clock::now();
+  if (now >= deadline) return 0;
+  const auto ms =
+      std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now)
+          .count() +
+      1;  // round up so we never poll(0) while time remains
+  return ms > INT_MAX ? INT_MAX : static_cast<int>(ms);
+}
+
 Socket& Socket::operator=(Socket&& other) noexcept {
   if (this != &other) {
     Close();
@@ -78,6 +76,17 @@ Socket& Socket::operator=(Socket&& other) noexcept {
 
 Result<Socket> Socket::Connect(const std::string& host, uint16_t port,
                                RpcDeadline deadline) {
+  bool pending = false;
+  Result<Socket> sock = StartConnect(host, port, &pending);
+  if (!sock.ok() || !pending) return sock;
+  QRANK_RETURN_NOT_OK(
+      WaitReady(sock.value().fd(), POLLOUT, deadline, "connect"));
+  QRANK_RETURN_NOT_OK(sock.value().FinishConnect());
+  return sock;
+}
+
+Result<Socket> Socket::StartConnect(const std::string& host, uint16_t port,
+                                    bool* pending) {
   struct sockaddr_in addr = {};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
@@ -86,29 +95,30 @@ Result<Socket> Socket::Connect(const std::string& host, uint16_t port,
   }
   Socket sock(::socket(AF_INET, SOCK_STREAM, 0));
   if (!sock.valid()) return ErrnoStatus("socket");
-  // Non-blocking connect so the deadline bounds the handshake too.
+  // Non-blocking for its whole lifetime: the deadline bounds the
+  // handshake, SendAll paces each send with poll(2) and FrameReader
+  // never waits, so no single syscall can block past the deadline (a
+  // blocking send of a frame larger than the socket buffer would stall
+  // until the peer drains it).
   QRANK_RETURN_NOT_OK(SetNonBlocking(sock.fd(), true));
+  SetNoDelay(sock.fd());
   const int rc = ::connect(sock.fd(), reinterpret_cast<sockaddr*>(&addr),
                            sizeof addr);
-  if (rc < 0) {
-    if (errno != EINPROGRESS) return ErrnoStatus("connect");
-    QRANK_RETURN_NOT_OK(WaitReady(sock.fd(), POLLOUT, deadline, "connect"));
-    int err = 0;
-    socklen_t len = sizeof err;
-    if (::getsockopt(sock.fd(), SOL_SOCKET, SO_ERROR, &err, &len) < 0) {
-      return ErrnoStatus("getsockopt(SO_ERROR)");
-    }
-    if (err != 0) {
-      return Status::IOError(std::string("connect: ") + std::strerror(err));
-    }
-  }
-  // The socket stays non-blocking for its lifetime: SendAll/RecvAll
-  // pace every syscall with poll(2), so a single send/recv can never
-  // block past the remaining deadline (a blocking send of a frame
-  // larger than the socket buffer would stall until the peer drains
-  // it, unbounded by the poll-side deadline).
-  SetNoDelay(sock.fd());
+  *pending = rc < 0 && errno == EINPROGRESS;
+  if (rc < 0 && !*pending) return ErrnoStatus("connect");
   return sock;
+}
+
+Status Socket::FinishConnect() {
+  int err = 0;
+  socklen_t len = sizeof err;
+  if (::getsockopt(fd_, SOL_SOCKET, SO_ERROR, &err, &len) < 0) {
+    return ErrnoStatus("getsockopt(SO_ERROR)");
+  }
+  if (err != 0) {
+    return Status::IOError(std::string("connect: ") + std::strerror(err));
+  }
+  return Status::OK();
 }
 
 Status Socket::SendAll(const uint8_t* data, size_t len, RpcDeadline deadline) {
@@ -125,23 +135,6 @@ Status Socket::SendAll(const uint8_t* data, size_t len, RpcDeadline deadline) {
       continue;
     }
     return ErrnoStatus("send");
-  }
-  return Status::OK();
-}
-
-Status Socket::RecvAll(uint8_t* data, size_t len, RpcDeadline deadline) {
-  if (!valid()) return Status::FailedPrecondition("recv on closed socket");
-  size_t got = 0;
-  while (got < len) {
-    QRANK_RETURN_NOT_OK(WaitReady(fd_, POLLIN, deadline, "recv"));
-    const ssize_t n = ::recv(fd_, data + got, len - got, 0);
-    if (n > 0) {
-      got += static_cast<size_t>(n);
-      continue;
-    }
-    if (n == 0) return Status::IOError("connection closed by peer");
-    if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-    return ErrnoStatus("recv");
   }
   return Status::OK();
 }
@@ -164,20 +157,54 @@ Status SendFrame(Socket& sock, std::span<const uint8_t> frame,
   return sock.SendAll(frame.data(), frame.size(), deadline);
 }
 
-Result<FrameHeader> RecvFrame(Socket& sock, std::vector<uint8_t>* frame,
-                              RpcDeadline deadline) {
+void FrameReader::Begin(std::vector<uint8_t>* frame) {
   frame->clear();
   frame->resize(kFrameHeaderBytes);
-  QRANK_RETURN_NOT_OK(
-      sock.RecvAll(frame->data(), kFrameHeaderBytes, deadline));
-  Result<FrameHeader> header = DecodeFrameHeader(*frame);
-  if (!header.ok()) return header;
-  // payload_len is validated against kMaxFramePayload by
-  // DecodeFrameHeader before this resize can run.
-  frame->resize(kFrameHeaderBytes + header.value().payload_len);
-  QRANK_RETURN_NOT_OK(sock.RecvAll(frame->data() + kFrameHeaderBytes,
-                                   header.value().payload_len, deadline));
-  return DecodeFrame(*frame);
+  got_ = 0;
+}
+
+Result<bool> FrameReader::ReadSome(Socket& sock, std::vector<uint8_t>* frame,
+                                   FrameHeader* header) {
+  for (;;) {
+    const ssize_t n =
+        ::recv(sock.fd(), frame->data() + got_, frame->size() - got_, 0);
+    if (n == 0) return Status::IOError("connection closed by peer");
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) return false;
+      return ErrnoStatus("recv");
+    }
+    got_ += static_cast<size_t>(n);
+    if (got_ < frame->size()) continue;
+    if (frame->size() == kFrameHeaderBytes) {
+      Result<FrameHeader> head = DecodeFrameHeader(*frame);
+      if (!head.ok()) return head.status();
+      if (head.value().payload_len > 0) {
+        // payload_len is validated against kMaxFramePayload by
+        // DecodeFrameHeader before this resize can run.
+        frame->resize(kFrameHeaderBytes + head.value().payload_len);
+        continue;
+      }
+    }
+    Result<FrameHeader> full = DecodeFrame(*frame);
+    if (!full.ok()) return full.status();
+    *header = full.value();
+    return true;
+  }
+}
+
+Result<FrameHeader> RecvFrame(Socket& sock, std::vector<uint8_t>* frame,
+                              RpcDeadline deadline) {
+  if (!sock.valid()) return Status::FailedPrecondition("recv on closed socket");
+  FrameReader reader;
+  reader.Begin(frame);
+  FrameHeader header;
+  for (;;) {
+    QRANK_RETURN_NOT_OK(WaitReady(sock.fd(), POLLIN, deadline, "recv"));
+    Result<bool> done = reader.ReadSome(sock, frame, &header);
+    if (!done.ok()) return done.status();
+    if (done.value()) return header;
+  }
 }
 
 RpcServer::RpcServer(Options options, FrameHandler handler)

@@ -7,11 +7,14 @@
 // live connection; sockets are O_NONBLOCK for their whole lifetime and
 // every operation loops poll(2)+syscall, so each individual send/recv
 // — not just the wait for readiness — is bounded by the remaining
-// deadline. Cancellation is by disconnect — a
-// caller that gives up on a request shuts the socket down, which makes
-// the peer's blocked read fail and tears the stream down instead of
-// leaving it desynchronized (a QRKF stream has no request framing to
-// resynchronize on after an abandoned response).
+// deadline. Clients that drive many sockets from one thread (the
+// coordinator) use the same pieces without waiting: StartConnect /
+// FinishConnect around their own poll(2), and a FrameReader per socket
+// that advances a frame by whatever bytes have arrived. Cancellation
+// is by disconnect — a caller that gives up on a request closes the
+// socket, which makes the peer's read fail and tears the stream down
+// instead of leaving it desynchronized (a QRKF stream has no request
+// framing to resynchronize on after an abandoned response).
 //
 // All shared state is annotated (QRANK_GUARDED_BY) and uses
 // qrank::Mutex; the loopback suites run under TSan in CI.
@@ -38,6 +41,11 @@ namespace qrank {
 using RpcDeadline = std::chrono::steady_clock::time_point;
 inline constexpr RpcDeadline kNoRpcDeadline = RpcDeadline::max();
 
+/// poll(2) timeout until `deadline`: -1 for kNoRpcDeadline, 0 once it
+/// has passed, otherwise the remaining milliseconds rounded up (so a
+/// caller never polls with 0 while time remains).
+int PollTimeoutMs(RpcDeadline deadline);
+
 /// Move-only RAII wrapper over a connected TCP socket fd.
 ///
 /// A Socket is owned and used by ONE thread at a time; the only
@@ -61,16 +69,21 @@ class Socket {
   static Result<Socket> Connect(const std::string& host, uint16_t port,
                                 RpcDeadline deadline);
 
+  /// Starts a non-blocking connect and returns without waiting. When
+  /// *pending comes back true the handshake is still running: wait for
+  /// POLLOUT on fd(), then call FinishConnect.
+  static Result<Socket> StartConnect(const std::string& host, uint16_t port,
+                                     bool* pending);
+
+  /// Reports how a pending connect ended (IOError if it was refused).
+  Status FinishConnect();
+
   bool valid() const { return fd_ >= 0; }
   int fd() const { return fd_; }
 
   /// Sends exactly len bytes or fails (IOError on disconnect or
   /// deadline).
   Status SendAll(const uint8_t* data, size_t len, RpcDeadline deadline);
-
-  /// Receives exactly len bytes or fails. A clean EOF before any byte
-  /// of this read maps to IOError("connection closed").
-  Status RecvAll(uint8_t* data, size_t len, RpcDeadline deadline);
 
   /// Half-closes both directions, failing any blocked or future I/O on
   /// this socket. Safe to call from another thread; idempotent.
@@ -86,10 +99,33 @@ class Socket {
 Status SendFrame(Socket& sock, std::span<const uint8_t> frame,
                  RpcDeadline deadline);
 
+/// Reads one QRKF frame from a non-blocking socket in as many steps as
+/// its bytes take to arrive: the 16 header bytes, then a payload sized
+/// only after DecodeFrameHeader has accepted the header (hardened
+/// reader contract), then DecodeFrame's CRC check over the whole frame.
+/// It keeps only how far it got, so one thread can poll many sockets
+/// and never wait on a peer that stalls mid-frame.
+class FrameReader {
+ public:
+  /// Starts a new frame in *frame: clears it, keeping its capacity.
+  void Begin(std::vector<uint8_t>* frame);
+
+  /// Reads what `sock` has ready into *frame (the buffer given to
+  /// Begin) without waiting. Returns true once the frame is complete
+  /// and valid, with *header describing it; false while bytes are
+  /// still missing. An error (EOF, reset, corrupt header or CRC) means
+  /// the stream is dead.
+  Result<bool> ReadSome(Socket& sock, std::vector<uint8_t>* frame,
+                        FrameHeader* header);
+
+ private:
+  size_t got_ = 0;
+};
+
 /// Receives one frame into *frame (header + payload, buffer reused
-/// across calls) and fully validates it — header sanity before the
-/// payload read is sized (hardened reader contract), then payload CRC.
-/// Any corruption fails the call; callers treat that as a dead stream.
+/// across calls): a FrameReader driven until the frame is complete or
+/// the deadline passes. Any corruption fails the call; callers treat
+/// that as a dead stream.
 Result<FrameHeader> RecvFrame(Socket& sock, std::vector<uint8_t>* frame,
                               RpcDeadline deadline);
 

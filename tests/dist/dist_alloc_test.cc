@@ -1,7 +1,7 @@
 // Steady-state allocation behavior of the distributed query path.
 //
 // The coordinator's contract mirrors QueryEngine::TopK's: once its
-// per-query scratch, the channel frame buffers, and the workers'
+// per-query scratch, the channel receive buffers, and the workers'
 // thread-local scratches have warmed up to the deployment's k, a
 // steady stream of identical-shape queries allocates NOTHING — on
 // either side of the sockets. The global counting allocator sees every
@@ -10,8 +10,6 @@
 // decode/query/translate/encode path at once.
 
 #include <gtest/gtest.h>
-
-#include <sys/stat.h>
 
 #include <atomic>
 #include <cstdint>
@@ -29,6 +27,7 @@
 #include "dist/worker.h"
 #include "serve/query_engine.h"
 #include "serve/score_bundle.h"
+#include "shard_dir.h"
 
 namespace {
 
@@ -79,9 +78,9 @@ TEST(DistAllocTest, SteadyStateQueriesAllocationFreeAfterWarmup) {
           ScoreBundleWriter::Create(std::move(src)).value().Serialize())
           .value();
 
-  const std::string dir = ::testing::TempDir() + "/alloc_shards";
-  ::mkdir(dir.c_str(), 0755);
-  const Result<ShardSplit> split = SplitBundleBySite(bundle, kShards, dir);
+  const ShardDir dir("alloc_shards");
+  const Result<ShardSplit> split =
+      SplitBundleBySite(bundle, kShards, dir.path());
   ASSERT_TRUE(split.ok()) << split.status().ToString();
 
   std::vector<std::unique_ptr<WorkerServer>> workers;
@@ -121,10 +120,10 @@ TEST(DistAllocTest, SteadyStateQueriesAllocationFreeAfterWarmup) {
     }
   }
 
-  // Response frames rotate through a three-buffer swap cycle per
-  // channel (recv -> result -> scratch), so a few same-shape queries
-  // are needed before every rotating buffer has held that shape's
-  // largest frame; only then is the cycle capacity-stable.
+  // Each answered wave swaps the channel's receive buffer with
+  // shard_frames[s], so a shard's two buffers alternate; a few
+  // same-shape queries are needed before both have held that shape's
+  // largest frame; only then is the swap capacity-stable.
   query.exploration_epsilon = 0.0;
   for (int i = 0; i < 6; ++i) {
     ASSERT_TRUE(coord.TopK(query, &result).ok());

@@ -2,27 +2,35 @@
 // degrades the query (partial results, degraded flag) within the
 // deadline instead of hanging; a worker that rejoins on the same port
 // brings the deployment back to exact answers; hedged requests rescue
-// a slow primary through its replica without degrading. Runs entirely
+// a slow primary, or one stalled mid-frame, through its replica
+// without degrading. Runs entirely
 // on loopback with real sockets and threads — this suite is also the
 // TSan workload for the RPC/coordinator locking (ROADMAP: tsan CI
 // job).
 
 #include <gtest/gtest.h>
 
-#include <sys/stat.h>
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/logging.h"
 #include "common/rng.h"
 #include "dist/coordinator.h"
+#include "dist/rpc.h"
 #include "dist/shard_map.h"
+#include "dist/wire_format.h"
 #include "dist/worker.h"
 #include "serve/query_engine.h"
 #include "serve/score_bundle.h"
+#include "shard_dir.h"
 
 namespace qrank {
 namespace {
@@ -54,10 +62,9 @@ const LoadedBundle& Bundle() {
 }
 
 const ShardSplit& Split() {
+  static const ShardDir dir("fault_shards");
   static const ShardSplit split = [] {
-    const std::string dir = ::testing::TempDir() + "/fault_shards";
-    ::mkdir(dir.c_str(), 0755);
-    Result<ShardSplit> s = SplitBundleBySite(Bundle(), 2, dir);
+    Result<ShardSplit> s = SplitBundleBySite(Bundle(), 2, dir.path());
     QRANK_CHECK(s.ok()) << s.status().ToString();
     return std::move(s).value();
   }();
@@ -76,6 +83,62 @@ std::unique_ptr<WorkerServer> StartWorker(uint32_t shard, uint16_t port,
   QRANK_CHECK(worker->Start().ok());
   return worker;
 }
+
+/// A shard endpoint that is a raw listening socket, not a WorkerServer:
+/// every connection it accepts has its request read, gets the first 8
+/// bytes of a valid response header, and then stalls, held open until
+/// the peer is destroyed.
+class StalledPeer {
+ public:
+  StalledPeer() {
+    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    QRANK_CHECK(listen_fd_ >= 0);
+    struct sockaddr_in addr = {};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof addr;
+    QRANK_CHECK(::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
+                       sizeof addr) == 0);
+    QRANK_CHECK(::listen(listen_fd_, 8) == 0);
+    QRANK_CHECK(::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
+                              &len) == 0);
+    port_ = ntohs(addr.sin_port);
+    thread_ = std::thread([this] { Serve(); });
+  }
+
+  ~StalledPeer() {
+    ::shutdown(listen_fd_, SHUT_RDWR);  // fails the blocked accept
+    thread_.join();
+    ::close(listen_fd_);
+  }
+
+  uint16_t port() const { return port_; }
+
+ private:
+  void Serve() {
+    std::vector<uint8_t> header_prefix;
+    EncodeTopKResponse(WireTopKResponse{}, &header_prefix);
+    header_prefix.resize(8);
+    std::vector<Socket> stalled;
+    std::vector<uint8_t> request;
+    for (;;) {
+      const int fd = ::accept(listen_fd_, nullptr, nullptr);
+      if (fd < 0) return;
+      Socket sock(fd);
+      const RpcDeadline deadline = Clock::now() + std::chrono::seconds(5);
+      if (!RecvFrame(sock, &request, deadline).ok() ||
+          !sock.SendAll(header_prefix.data(), header_prefix.size(), deadline)
+               .ok()) {
+        continue;  // the client already gave up; nothing to stall
+      }
+      stalled.push_back(std::move(sock));
+    }
+  }
+
+  int listen_fd_ = -1;
+  uint16_t port_ = 0;
+  std::thread thread_;
+};
 
 TopKQuery GlobalQuery() {
   TopKQuery query;
@@ -257,6 +320,77 @@ TEST(DistFaultTest, HedgeToReplicaRescuesSlowPrimaryWithoutDegrading) {
     EXPECT_EQ(result.entries[i].score, want[i].score);
   }
   EXPECT_GE(coord.hedges_fired(), 1u);
+  coord.Stop();
+}
+
+TEST(DistFaultTest, HedgeRescuesShardWhosePrimaryStallsMidFrame) {
+  // Shard 1's primary sends 8 bytes of a response header and stalls,
+  // so its socket turns readable almost at once. A transport that
+  // reads a readable socket to the end of the frame would sit in that
+  // read until the deadline and starve the hedge; the incremental
+  // reader must leave the stalled socket and let the replica answer.
+  auto w0 = StartWorker(0, 0, milliseconds(0));
+  StalledPeer stalled1;
+  auto fast1 = StartWorker(1, 0, milliseconds(0));
+
+  CoordinatorOptions options;
+  options.query_deadline = milliseconds(1000);
+  options.hedge_delay = milliseconds(40);
+  std::vector<ShardAddress> addresses(2);
+  addresses[0].primary.port = w0->port();
+  addresses[1].primary.port = stalled1.port();
+  addresses[1].has_replica = true;
+  addresses[1].replica.port = fast1->port();
+  Coordinator coord(LoadShardMap(Split().map_path).value(), addresses,
+                    options);
+  ASSERT_TRUE(coord.Start().ok());
+
+  DistTopKResult result;
+  const Clock::time_point t0 = Clock::now();
+  ASSERT_TRUE(coord.TopK(GlobalQuery(), &result).ok());
+  const auto elapsed = Clock::now() - t0;
+  EXPECT_FALSE(result.degraded);
+  EXPECT_EQ(result.hedges_fired, 1u);
+  EXPECT_LT(elapsed, milliseconds(500))
+      << "a peer stalled mid-frame must not hold the wave or the hedge";
+  const std::vector<TopKEntry> want = Oracle(GlobalQuery());
+  ASSERT_EQ(result.entries.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(result.entries[i].row, want[i].row);
+    EXPECT_EQ(result.entries[i].score, want[i].score);
+  }
+  coord.Stop();
+}
+
+TEST(DistFaultTest, PrimaryStalledMidFrameDegradesAtDeadline) {
+  // No replica: the hedge opens a second connection to the same
+  // stalled peer, which stalls too. The query degrades at the
+  // deadline, and the half-read frames are closed with their sockets
+  // instead of leaking into the next query.
+  auto w0 = StartWorker(0, 0, milliseconds(0));
+  StalledPeer stalled1;
+
+  CoordinatorOptions options;
+  options.query_deadline = milliseconds(300);
+  options.hedge_delay = milliseconds(40);
+  std::vector<ShardAddress> addresses(2);
+  addresses[0].primary.port = w0->port();
+  addresses[1].primary.port = stalled1.port();
+  Coordinator coord(LoadShardMap(Split().map_path).value(), addresses,
+                    options);
+  ASSERT_TRUE(coord.Start().ok());
+
+  DistTopKResult result;
+  for (int round = 0; round < 2; ++round) {
+    const Clock::time_point t0 = Clock::now();
+    ASSERT_TRUE(coord.TopK(GlobalQuery(), &result).ok());
+    const auto elapsed = Clock::now() - t0;
+    EXPECT_TRUE(result.degraded);
+    EXPECT_EQ(result.shards_answered, 1u);
+    EXPECT_EQ(result.hedges_fired, 1u);
+    EXPECT_GE(elapsed, options.query_deadline - milliseconds(5));
+    EXPECT_LT(elapsed, options.query_deadline + milliseconds(200));
+  }
   coord.Stop();
 }
 

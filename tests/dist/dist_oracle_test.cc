@@ -10,8 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sys/stat.h>
-
 #include <memory>
 #include <string>
 #include <vector>
@@ -23,6 +21,7 @@
 #include "dist/worker.h"
 #include "serve/query_engine.h"
 #include "serve/score_bundle.h"
+#include "shard_dir.h"
 
 namespace qrank {
 namespace {
@@ -58,11 +57,10 @@ const LoadedBundle& Bundle() {
 /// one WorkerServer per shard, one coordinator.
 class Deployment {
  public:
-  explicit Deployment(uint32_t num_shards) {
-    const std::string dir = ::testing::TempDir() + "/oracle_shards_" +
-                            std::to_string(num_shards);
-    ::mkdir(dir.c_str(), 0755);
-    Result<ShardSplit> split = SplitBundleBySite(Bundle(), num_shards, dir);
+  explicit Deployment(uint32_t num_shards)
+      : dir_("oracle_shards_" + std::to_string(num_shards)) {
+    Result<ShardSplit> split =
+        SplitBundleBySite(Bundle(), num_shards, dir_.path());
     QRANK_CHECK(split.ok()) << split.status().ToString();
     std::vector<ShardAddress> addresses;
     for (uint32_t s = 0; s < num_shards; ++s) {
@@ -91,6 +89,7 @@ class Deployment {
   Coordinator& coordinator() { return *coordinator_; }
 
  private:
+  ShardDir dir_;  // outlives the workers that mmap its files
   std::vector<std::unique_ptr<WorkerServer>> workers_;
   std::unique_ptr<Coordinator> coordinator_;
 };
