@@ -70,6 +70,7 @@ using qrank::BatchAccumulator;
 using qrank::BatchPolicy;
 using qrank::CsrGraph;
 using qrank::EdgeList;
+using qrank::IngestGenerationInfo;
 using qrank::IngestOptions;
 using qrank::IngestService;
 using qrank::IngestStats;
@@ -200,6 +201,24 @@ void AddStageCounters(benchmark::State& state, const IngestStats& stats) {
   }
 }
 
+// Solve attribution: warm DeltaPageRank sweeps per event-carrying
+// generation (the generation log also holds the seed's cold solve) and
+// the mean solve-stage time, so a BENCH_ingest row splits the solve into
+// sweeps x ms/sweep.
+void AddSolveCounters(benchmark::State& state, const IngestService& ingest,
+                      const IngestStats& stats) {
+  double gens = 0.0, sweeps = 0.0;
+  for (const IngestGenerationInfo& g : ingest.GenerationLog()) {
+    if (g.num_events == 0) continue;
+    gens += 1.0;
+    sweeps += g.rank_iterations;
+  }
+  state.counters["sweeps_per_gen"] =
+      benchmark::Counter(gens > 0.0 ? sweeps / gens : 0.0);
+  state.counters["solve_ms_mean"] =
+      benchmark::Counter(stats.stage_solve.mean_ms);
+}
+
 // The full freshness loop under concurrent query load. Each iteration
 // is one burst: enqueue kBurst events, then block until the service has
 // published the generation covering the last of them — so the per-
@@ -279,6 +298,7 @@ void BM_IngestPipeline(benchmark::State& state) {
   state.counters["reads"] =
       benchmark::Counter(static_cast<double>(reads.load()));
   AddStageCounters(state, stats);
+  AddSolveCounters(state, ingest, stats);
 }
 
 // Serial vs pipelined throughput under a window-2 closed loop: two
@@ -358,6 +378,7 @@ void RunIngestStream(benchmark::State& state, bool pipelined) {
   state.counters["generations"] =
       benchmark::Counter(static_cast<double>(stats.generations));
   AddStageCounters(state, stats);
+  AddSolveCounters(state, ingest, stats);
 }
 
 void BM_IngestStreamSerial(benchmark::State& state) {

@@ -1,5 +1,6 @@
 #include "rank/delta_pagerank.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <span>
@@ -120,9 +121,12 @@ Result<DeltaPageRankResult> ComputeDeltaPageRank(
   std::vector<uint8_t> status(n, kMoved);
   std::vector<uint8_t> woken(n, 0);
 
-  // The share a page pushes to each out-neighbor. Kept persistent and
-  // refreshed only for recomputed rows (a frozen page's share is frozen
-  // with it), so partial sweeps cost O(awake), not O(n).
+  // The share a page pushes to each out-neighbor, as of the sweep's
+  // start. Kept persistent and refreshed only for recomputed rows (a
+  // frozen page's share is frozen with it), so partial sweeps cost
+  // O(awake), not O(n). `share_cur` is the same array with this sweep's
+  // recomputed rows already written: the row pass writes it, the freeze
+  // pass copies it back, so the two agree between sweeps.
   std::vector<double> out_share(n, 0.0);
   ParallelForPartition(
       bounds,
@@ -130,6 +134,7 @@ Result<DeltaPageRankResult> ComputeDeltaPageRank(
         for (size_t u = lo; u < hi; ++u) out_share[u] = x[u] * inv_outdeg[u];
       },
       par);
+  std::vector<double> share_cur = out_share;
 
   auto exact_dangling = [&](const std::vector<double>& scores) {
     if (!has_dangling) return 0.0;
@@ -146,37 +151,61 @@ Result<DeltaPageRankResult> ComputeDeltaPageRank(
   };
 
   // Dangling mass (footnote 2), redistributed teleport-shaped. Tracked
-  // incrementally on partial sweeps (tree-reduced deltas of recomputed
-  // dangling rows: deterministic); recomputed exactly on full sweeps, so
-  // the convergence check always evaluates the true operator.
+  // incrementally across sweeps (tree-reduced changes of recomputed
+  // dangling rows, summed in the row pass: deterministic); recomputed
+  // exactly at the start of full sweeps, so the convergence check always
+  // evaluates the true operator.
   double dangling = exact_dangling(x);
-  // Pre-overwrite values of recomputed dangling rows, for that tracking.
-  std::vector<double> old_dangling(has_dangling ? n : 0, 0.0);
 
-  // One full Jacobi update of row i, written back in place: pulls read
-  // `out_share` (refreshed only after the sweep), never `x`, so the
-  // in-place write is still a Jacobi step and the pull order is the
-  // fixed ascending in-neighbor order — iterates are bit-identical
-  // across thread counts.
-  auto update_row = [&](size_t i, double base_mass) {
+  // Update of row i in the block starting at `lo`, written back in
+  // place. In-neighbors in [lo, i) are read from `own`, every other one
+  // from the sweep-start snapshot `out_share`. With own = share_cur
+  // that is block Gauss–Seidel: a row sees the fresh shares of the
+  // earlier rows of its own block, which only this block's task writes,
+  // and nothing of any other block's progress — so the iterates are a
+  // function of the fixed partition, never of the thread count. In-
+  // neighbor lists ascend, so the pull is three folds over contiguous
+  // runs, summed in run order. With own = out_share it is a Jacobi step
+  // and one fold over the whole row.
+  auto update_row = [&](size_t i, size_t lo, double base_mass,
+                        const double* own) {
     double pull;
     if (pull_compressed) {
-      pull = sweep_funcs.compressed_row_pull(row_bytes + row_bytes_off[i],
-                                             row_bytes + row_bytes_off[i + 1],
-                                             out_share.data());
+      pull = sweep_funcs.compressed_row_pull(
+          row_bytes + row_bytes_off[i], row_bytes + row_bytes_off[i + 1],
+          static_cast<NodeId>(lo), static_cast<NodeId>(i), out_share.data(),
+          own);
     } else {
       const std::span<const NodeId> in =
           graph.InNeighbors(static_cast<NodeId>(i));
-      pull = sweep_funcs.row_pull(in.data(), in.size(), out_share.data());
+      const NodeId* first = in.data();
+      const NodeId* last = first + in.size();
+      if (own == out_share.data()) {
+        pull = sweep_funcs.row_pull(first, in.size(), own);
+      } else {
+        const NodeId* own_begin = std::lower_bound(first, last, lo);
+        const NodeId* own_end = std::lower_bound(own_begin, last, i);
+        pull = sweep_funcs.row_pull(first, own_begin - first, out_share.data());
+        pull += sweep_funcs.row_pull(own_begin, own_end - own_begin, own);
+        pull += sweep_funcs.row_pull(own_end, last - own_end, out_share.data());
+      }
     }
     const double val = base_mass * v[i] + alpha * pull;
     const double delta = std::fabs(val - x[i]);
-    if (has_dangling && inv_outdeg[i] == 0.0) old_dangling[i] = x[i];
     x[i] = val;
+    share_cur[i] = val * inv_outdeg[i];
     return delta;
   };
 
-  // A partial-sweep residual below tolerance means the awake set has
+  // Partial sweeps are block Gauss–Seidel, which does not conserve mass,
+  // so the final NormalizeSum can move the iterate up to as far again as
+  // the last full sweep's residual. Stopping at tolerance / 2 keeps the
+  // returned vector within alpha * tolerance / (1 - alpha) of the fixed
+  // point — the bound the Jacobi engines meet when they stop at
+  // tolerance.
+  const double stop = options.base.tolerance / 2;
+
+  // A partial-sweep residual below `stop` means the awake set has
   // converged; schedule a full sweep immediately (rather than waiting
   // for the period boundary) to run the exact convergence check.
   bool force_full_sweep = false;
@@ -185,20 +214,25 @@ Result<DeltaPageRankResult> ComputeDeltaPageRank(
         (iter % options.full_sweep_period == 0) || force_full_sweep;
     if (full_sweep) dangling = exact_dangling(x);
     const double base_mass = 1.0 - alpha + alpha * dangling;
+    const double* own = full_sweep ? out_share.data() : share_cur.data();
 
-    // Row pass, fused with the residual reduction (a tree reduce, so the
-    // sum is schedule-independent): frozen rows are skipped outright on
-    // partial sweeps. The update count is an exact integer, so a relaxed
-    // atomic add per block keeps it deterministic too.
+    // Row pass, fused with the residual and dangling-change reductions
+    // (tree reduces, so the sums are schedule-independent): frozen rows
+    // are skipped outright on partial sweeps. The update count is an
+    // exact integer, so a relaxed atomic add per block keeps it
+    // deterministic too.
     std::atomic<uint64_t> updates{0};
-    result.base.residual = ParallelReducePartition<1>(
+    const std::array<double, 2> sums = ParallelReducePartition<2>(
         bounds,
         [&](size_t lo, size_t hi) {
           double sum = 0.0;
+          double dangling_change = 0.0;
           uint64_t count = 0;
           for (size_t i = lo; i < hi; ++i) {
             if (frozen[i] && !full_sweep) continue;
-            const double delta = update_row(i, base_mass);
+            const double old = x[i];
+            const double delta = update_row(i, lo, base_mass, own);
+            if (inv_outdeg[i] == 0.0) dangling_change += x[i] - old;
             sum += delta;
             ++count;
             slack[i] += delta;
@@ -220,24 +254,12 @@ Result<DeltaPageRankResult> ComputeDeltaPageRank(
             }
           }
           updates.fetch_add(count, std::memory_order_relaxed);
-          return std::array<double, 1>{sum};
+          return std::array<double, 2>{sum, dangling_change};
         },
-        &reduce_scratch, par)[0];
+        &reduce_scratch, par);
+    result.base.residual = sums[0];
     result.node_updates += updates.load(std::memory_order_relaxed);
-    if (has_dangling && !full_sweep) {
-      dangling += ParallelReducePartition<1>(
-          bounds,
-          [&](size_t lo, size_t hi) {
-            double sum = 0.0;
-            for (size_t i = lo; i < hi; ++i) {
-              if (!frozen[i] && inv_outdeg[i] == 0.0) {
-                sum += x[i] - old_dangling[i];
-              }
-            }
-            return std::array<double, 1>{sum};
-          },
-          &reduce_scratch, par)[0];
-    }
+    dangling += sums[1];
 
     // Freeze update, woken reset, and out_share refresh for recomputed
     // rows: a page stays/becomes frozen iff it did not cross its budget
@@ -256,7 +278,7 @@ Result<DeltaPageRankResult> ComputeDeltaPageRank(
             }
             frozen[i] = (status[i] != kMoved) && !woken[i];
             woken[i] = 0;
-            out_share[i] = x[i] * inv_outdeg[i];
+            out_share[i] = share_cur[i];
           }
         },
         par);
@@ -264,36 +286,31 @@ Result<DeltaPageRankResult> ComputeDeltaPageRank(
     result.base.iterations = iter;
     // Exactness contract: only a full sweep measures the true residual
     // ||F(x) - x||_1; partial-sweep residuals ignore frozen rows.
-    if (full_sweep && result.base.residual < options.base.tolerance) {
+    if (full_sweep && result.base.residual < stop) {
       result.base.converged = true;
       break;
     }
-    force_full_sweep = result.base.residual < options.base.tolerance;
+    force_full_sweep = result.base.residual < stop;
   }
 
   // Iterations exhausted between full sweeps: run one final full update
-  // so the reported residual is honest.
+  // so the reported residual is honest. out_share is current: the
+  // freeze pass refreshed every row the last sweep recomputed.
   if (!result.base.converged) {
     dangling = exact_dangling(x);
     const double base_mass = 1.0 - alpha + alpha * dangling;
-    ParallelForPartition(
-        bounds,
-        [&](size_t lo, size_t hi) {
-          for (size_t u = lo; u < hi; ++u) out_share[u] = x[u] * inv_outdeg[u];
-        },
-        par);
     result.base.residual = ParallelReducePartition<1>(
         bounds,
         [&](size_t lo, size_t hi) {
           double sum = 0.0;
-          for (size_t i = lo; i < hi; ++i) sum += update_row(i, base_mass);
+          for (size_t i = lo; i < hi; ++i) {
+            sum += update_row(i, lo, base_mass, out_share.data());
+          }
           return std::array<double, 1>{sum};
         },
         &reduce_scratch, par)[0];
     result.node_updates += n;
-    if (result.base.residual < options.base.tolerance) {
-      result.base.converged = true;
-    }
+    if (result.base.residual < stop) result.base.converged = true;
   }
 
   for (NodeId i = 0; i < n; ++i) {
@@ -308,8 +325,9 @@ Result<DeltaPageRankResult> ComputeDeltaPageRank(
                result.drift_budget * (1.0 + 1e-9))
       << "drift ledger " << result.drift_ledger_total
       << " overran its budget " << result.drift_budget;
-  // Frozen rows break Jacobi's automatic mass conservation; restore the
-  // probability scale before applying the requested convention.
+  // Frozen rows and Gauss–Seidel partial sweeps break Jacobi's automatic
+  // mass conservation; restore the probability scale before applying the
+  // requested convention.
   NormalizeSum(&x, 1.0);
   result.base.scores = std::move(x);
   QRANK_RETURN_NOT_OK(FinishResult(graph, options.base, &result.base));

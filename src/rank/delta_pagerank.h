@@ -15,17 +15,26 @@
 //    matter and the aggregate hidden movement is bounded by a fixed
 //    fraction of the tolerance. Every full_sweep_period-th iteration
 //    recomputes all pages (and a partial sweep whose residual already
-//    meets tolerance triggers one immediately) for the exact check.
+//    meets the stopping threshold triggers one immediately) for the
+//    exact check;
+//  * block Gauss–Seidel partial sweeps: a recomputed row reads the
+//    fresh values of the earlier rows of its own block of the fixed
+//    sweep partition, and the sweep-start snapshot for every other
+//    in-neighbor, which roughly halves the sweeps a warm solve takes.
 //
-// Exactness contract: convergence is declared ONLY on a full sweep with
-// L1 residual below base.tolerance — the same stopping rule as the
-// from-scratch engines — so the returned scores match the from-scratch
-// fixed point to the same tolerance; the frontier machinery affects
-// only how much work each iteration performs. (This is stricter than
-// the adaptive engine's all-pages-frozen approximate stop.)
+// Exactness contract: convergence is declared ONLY on a full sweep, a
+// plain Jacobi step, with L1 residual below base.tolerance / 2. Gauss–
+// Seidel iterates do not conserve mass, and the final renormalization
+// can double the distance to the fixed point, so the halved threshold
+// keeps the returned scores within alpha * tolerance / (1 - alpha) of
+// it — the bound the from-scratch engines meet. The frontier and the
+// Gauss–Seidel reads affect only how much work the solve performs.
+// (This is stricter than the adaptive engine's all-pages-frozen
+// approximate stop.)
 //
 // Runs on the deterministic parallel substrate: scores are bit-identical
-// for every base.num_threads value (fixed block partitions, fixed-order
+// for every base.num_threads value (fixed block partitions — which, not
+// the thread count, shape the Gauss–Seidel iterate path — fixed-order
 // per-row pulls, tree reductions; wake flags are write-only-true, so
 // their final state is schedule-independent).
 
@@ -54,9 +63,10 @@ struct DeltaPageRankOptions {
   /// part.
   double freeze_threshold = 0.25;
 
-  /// Every full_sweep_period-th iteration recomputes every page;
-  /// convergence is only ever declared on such a sweep (one is also
-  /// forced as soon as a partial residual drops under tolerance). Full
+  /// Every full_sweep_period-th iteration recomputes every page as a
+  /// Jacobi step; convergence is only ever declared on such a sweep (one
+  /// is also forced as soon as a partial residual drops under the
+  /// stopping threshold). Full
   /// sweeps are what correct — and propagate, one hop per sweep — the
   /// sub-budget drift that frozen rows accumulate, so stretching the
   /// period trades cheaper iteration for a longer convergence tail at

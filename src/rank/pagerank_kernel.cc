@@ -46,6 +46,20 @@ ScalarCompressedBlockSweep(const SweepArgs& args, size_t lo, size_t hi) {
   return BlockSweep<ScalarAcc, /*kCompressed=*/true>(args, lo, hi);
 }
 
+// Each segment is its own oracle fold, summed in segment order — the
+// raw path's three row_pull calls, term for term; a Jacobi step is its
+// one call over the whole row.
+QRANK_SCALAR_TU_ONLY QRANK_HOT double ScalarCompressedSplitRowPull(
+    const uint8_t* begin, const uint8_t* end, NodeId lo, NodeId mid,
+    const double* out_share, const double* own) {
+  CompressedRowCursor c{begin, end};
+  if (own == out_share) return CompressedFoldBelow(&c, kRowEnd, out_share);
+  double pull = CompressedFoldBelow(&c, lo, out_share);
+  pull += CompressedFoldBelow(&c, mid, own);
+  pull += CompressedFoldBelow(&c, kRowEnd, out_share);
+  return pull;
+}
+
 // Defined in the per-ISA translation units; declared here (not in a
 // shared header) so no other TU can reach them without going through
 // ResolveSweepFuncs.

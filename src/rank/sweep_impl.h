@@ -36,21 +36,37 @@ QRANK_HOT double PullRow(const NodeId* src, size_t count, const double* out_shar
   return acc.Fold();
 }
 
-/// Fused decode + accumulate over one compressed row, reproducing the
-/// scalar oracle bit-for-bit: values stream through a 4-slot group —
-/// full groups land on p0..p3, the final partial group (< 4) folds into
-/// p0 — exactly ScalarAcc's assignment. Inline (not a template): every
-/// ISA variant shares this one definition, which is what makes
-/// compressed output identical across variants.
-QRANK_HOT inline double CompressedScalarPullRow(const uint8_t* p, const uint8_t* end,
-                                      const double* out_share) {
-  if (p >= end) return 0.0;  // empty row
+/// Decode position inside one compressed row, carried across the
+/// segments of a split pull (CompressedFoldBelow). The row's first value
+/// is absolute, i.e. a gap from 0, so decoding starts from prev = 0.
+struct CompressedRowCursor {
+  const uint8_t* p;
+  const uint8_t* end;
+  uint32_t prev = 0;  // last decoded source
+  bool held = false;  // prev is decoded but belongs to a later segment
+};
+
+/// Past every NodeId: a CompressedFoldBelow stop that takes the rest of
+/// the row.
+inline constexpr uint64_t kRowEnd = uint64_t{1} << 32;
+
+/// Fused decode + accumulate of the row's next sources below `stop`,
+/// reproducing the scalar oracle bit-for-bit over exactly that segment:
+/// values stream through a 4-slot group — full groups land on p0..p3,
+/// the final partial group (< 4) folds into p0 — exactly ScalarAcc's
+/// assignment. Inline (not a template): every ISA variant shares this
+/// one definition, which is what makes compressed output identical
+/// across variants.
+QRANK_HOT inline double CompressedFoldBelow(CompressedRowCursor* c,
+                                            uint64_t stop,
+                                            const double* out_share) {
   double p0 = 0.0, p1 = 0.0, p2 = 0.0, p3 = 0.0;
-  uint32_t prev;
-  p = DecodeU32VarintUnchecked(p, &prev);  // first value is absolute
+  const uint8_t* p = c->p;
+  const uint8_t* const end = c->end;
+  uint32_t prev = c->prev;
+  bool held = c->held;
   uint32_t pending[4];
-  pending[0] = prev;
-  size_t npend = 1;
+  size_t npend = 0;
   for (;;) {
     if (npend == 4) {
       p0 += out_share[pending[0]];
@@ -62,36 +78,47 @@ QRANK_HOT inline double CompressedScalarPullRow(const uint8_t* p, const uint8_t*
     // Fast path: in a locality-friendly ordering most gaps fit one
     // byte, so whole words of the stream carry four gaps with no
     // continuation bit — decode with shifts and accumulate the group
-    // directly, skipping four branchy varint loops.
-    while (npend == 0 && p + 4 <= end) {
+    // directly, skipping four branchy varint loops. Rows ascend, so the
+    // group stays inside the segment iff its last source does.
+    while (!held && npend == 0 && p + 4 <= end) {
       uint32_t w;
       std::memcpy(&w, p, 4);
       if ((w & 0x80808080u) != 0) break;
-      prev += w & 0xffu;
-      p0 += out_share[prev];
-      prev += (w >> 8) & 0xffu;
-      p1 += out_share[prev];
-      prev += (w >> 16) & 0xffu;
-      p2 += out_share[prev];
-      prev += (w >> 24) & 0xffu;
-      p3 += out_share[prev];
+      const uint32_t s0 = prev + (w & 0xffu);
+      const uint32_t s1 = s0 + ((w >> 8) & 0xffu);
+      const uint32_t s2 = s1 + ((w >> 16) & 0xffu);
+      const uint32_t s3 = s2 + (w >> 24);
+      if (s3 >= stop) break;
+      p0 += out_share[s0];
+      p1 += out_share[s1];
+      p2 += out_share[s2];
+      p3 += out_share[s3];
+      prev = s3;
       p += 4;
     }
-    if (p >= end) break;
-    uint32_t delta;
-    p = DecodeU32VarintUnchecked(p, &delta);
-    prev += delta;
+    if (!held) {
+      if (p >= end) break;
+      uint32_t delta;
+      p = DecodeU32VarintUnchecked(p, &delta);
+      prev += delta;
+    }
+    held = prev >= stop;
+    if (held) break;
     pending[npend++] = prev;
   }
-  if (npend == 4) {
-    p0 += out_share[pending[0]];
-    p1 += out_share[pending[1]];
-    p2 += out_share[pending[2]];
-    p3 += out_share[pending[3]];
-  } else {
-    for (size_t i = 0; i < npend; ++i) p0 += out_share[pending[i]];
-  }
+  for (size_t i = 0; i < npend; ++i) p0 += out_share[pending[i]];
+  c->p = p;
+  c->prev = prev;
+  c->held = held;
   return (p0 + p1) + (p2 + p3);
+}
+
+/// The whole-row pull of the compressed block sweep.
+QRANK_HOT inline double CompressedScalarPullRow(const uint8_t* p,
+                                                const uint8_t* end,
+                                                const double* out_share) {
+  CompressedRowCursor c{p, end};
+  return CompressedFoldBelow(&c, kRowEnd, out_share);
 }
 
 // The fused row loop of PageRankKernel::Sweep (see pagerank_kernel.h
@@ -139,12 +166,12 @@ SweepFuncs MakeSweepFuncs(SimdLevel level) {
   SweepFuncs funcs;
   funcs.level = level;
   funcs.raw_block = &BlockSweep<Acc, /*kCompressed=*/false>;
-  // NOT a per-TU instantiation: the compressed sweep must come from the
-  // scalar TU so no ISA TU's implied FMA can re-round its row update
-  // (see the declaration in sweep_ops.h).
+  // NOT per-TU instantiations: the compressed sweep and row pull must
+  // come from the scalar TU so no ISA TU's implied FMA or reassociation
+  // can re-round them (see the declarations in sweep_ops.h).
   funcs.compressed_block = &ScalarCompressedBlockSweep;
   funcs.row_pull = &PullRow<Acc>;
-  funcs.compressed_row_pull = &CompressedScalarPullRow;
+  funcs.compressed_row_pull = &ScalarCompressedSplitRowPull;
   return funcs;
 }
 

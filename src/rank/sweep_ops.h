@@ -62,12 +62,18 @@ using BlockSweepFn = std::array<double, 2> (*)(const SweepArgs&, size_t lo,
 using RowPullFn = double (*)(const NodeId* src, size_t count,
                              const double* out_share);
 
-/// Same pull over one compressed row [begin, end) of the varint stream.
+/// The delta engine's three-segment pull over one compressed row
+/// [begin, end) of the varint stream: sources below `lo` and from `mid`
+/// on read `out_share`, sources in [lo, mid) read `own`. Bit-exact with
+/// the raw path's three scalar row_pull calls summed in segment order —
+/// or, when own == out_share (a Jacobi step), with its one call over
+/// the whole row.
 /// Always the shared fused scalar decode+accumulate, whatever the
 /// variant (see the determinism contract above).
 using CompressedRowPullFn = double (*)(const uint8_t* begin,
-                                       const uint8_t* end,
-                                       const double* out_share);
+                                       const uint8_t* end, NodeId lo,
+                                       NodeId mid, const double* out_share,
+                                       const double* own);
 
 struct SweepFuncs {
   SimdLevel level = SimdLevel::kScalar;  // what actually got resolved
@@ -84,6 +90,13 @@ struct SweepFuncs {
 /// silently break the compressed-equals-scalar bit-exactness contract.
 std::array<double, 2> ScalarCompressedBlockSweep(const SweepArgs& args,
                                                  size_t lo, size_t hi);
+
+/// The compressed row pull every variant shares (CompressedRowPullFn),
+/// defined in the scalar TU for the same reason.
+double ScalarCompressedSplitRowPull(const uint8_t* begin, const uint8_t* end,
+                                    NodeId lo, NodeId mid,
+                                    const double* out_share,
+                                    const double* own);
 
 /// The requested ceiling, clamped to what DetectSimdLevel() allows
 /// (hardware x build x QRANK_FORCE_SIMD_LEVEL). Never escalates:

@@ -146,28 +146,45 @@ TEST(SeriesReorderTest, IdentityOrderingLeavesPermutationEmpty) {
 }
 
 TEST(SeriesReorderTest, ReorderingDoesNotChangeWorkAccounting) {
-  // The incremental engine's update counts are a function of the delta,
-  // not of the label space it is solved in: reordering must not inflate
-  // the work the series reports.
-  SnapshotSeries plain = MakeSeries();
-  ASSERT_TRUE(plain
-                  .ComputePageRanks(Options(SeriesMode::kIncremental,
-                                            NodeOrdering::kIdentity))
-                  .ok());
-  SnapshotSeries reordered = MakeSeries();
-  ASSERT_TRUE(reordered
-                  .ComputePageRanks(Options(SeriesMode::kIncremental,
-                                            NodeOrdering::kBfsLocality))
-                  .ok());
-  ASSERT_EQ(plain.node_updates_per_snapshot().size(),
-            reordered.node_updates_per_snapshot().size());
-  // Same number of snapshots solved incrementally; iteration counts may
-  // differ by a round due to different FP rounding, but not wildly.
-  for (size_t i = 0; i < plain.iterations_per_snapshot().size(); ++i) {
-    EXPECT_NEAR(
-        static_cast<double>(plain.iterations_per_snapshot()[i]),
-        static_cast<double>(reordered.iterations_per_snapshot()[i]), 2.0)
-        << "snapshot " << i;
+  // The incremental engine's block Gauss–Seidel sweeps read fresh values
+  // in label order, so its iteration counts depend on the labeling by
+  // design. What must not depend on it: every snapshot converges, the
+  // scores agree within the engine bound, and warm incremental solves
+  // never cost more sweeps than from-scratch solves of the same
+  // snapshot.
+  const PageRankOptions pr =
+      Options(SeriesMode::kIncremental, NodeOrdering::kIdentity).pagerank;
+  const double engine_bound = pr.damping * pr.tolerance / (1.0 - pr.damping);
+  std::vector<SnapshotSeries> incremental;
+  for (NodeOrdering ordering :
+       {NodeOrdering::kIdentity, NodeOrdering::kBfsLocality}) {
+    SnapshotSeries series = MakeSeries();
+    ASSERT_TRUE(
+        series.ComputePageRanks(Options(SeriesMode::kIncremental, ordering))
+            .ok());
+    SnapshotSeries scratch = MakeSeries();
+    ASSERT_TRUE(
+        scratch.ComputePageRanks(Options(SeriesMode::kScratch, ordering))
+            .ok());
+    for (size_t i = 0; i < series.num_snapshots(); ++i) {
+      const uint32_t iterations = series.iterations_per_snapshot()[i];
+      EXPECT_LT(iterations, pr.max_iterations)
+          << "snapshot " << i << " " << NodeOrderingName(ordering);
+      EXPECT_LE(iterations, scratch.iterations_per_snapshot()[i])
+          << "snapshot " << i << " " << NodeOrderingName(ordering);
+    }
+    incremental.push_back(std::move(series));
+  }
+  // pagerank(i) is already mapped back to original page ids. Each vector
+  // is within engine_bound of the fixed point, so they are within twice
+  // that of each other.
+  for (size_t i = 0; i < incremental[0].num_snapshots(); ++i) {
+    const std::vector<double>& a = incremental[0].pagerank(i);
+    const std::vector<double>& b = incremental[1].pagerank(i);
+    ASSERT_EQ(a.size(), b.size());
+    double l1 = 0.0;
+    for (size_t u = 0; u < a.size(); ++u) l1 += std::fabs(a[u] - b[u]);
+    EXPECT_LT(l1, 2.0 * engine_bound) << "snapshot " << i;
   }
 }
 

@@ -168,6 +168,76 @@ TEST(DeltaPageRankTest, FullSweepPeriodOneIsPlainWarmJacobi) {
   EXPECT_LT(L1Distance(r.base.scores, plain.scores), 1e-9);
 }
 
+// 64 sites x 200 pages: 12,800 rows, 7 blocks of the fixed sweep
+// partition, so the block Gauss–Seidel partial sweeps cross blocks.
+CsrGraph SiteGraph() {
+  Rng rng(41);
+  return CsrGraph::FromEdgeList(
+             GenerateSiteClustered(64, 200, 12, 6, &rng).value())
+      .value();
+}
+
+TEST(DeltaPageRankTest, GaussSeidelPartialSweepsCutWarmIterations) {
+  CsrGraph g0 = SiteGraph();
+  PageRankOptions base;
+  base.tolerance = 1e-10;
+  PageRankResult r0 = ComputePageRank(g0, base).value();
+  CsrGraph g1 = Perturb(g0, 300, 43);
+  const std::vector<uint8_t> frontier =
+      GraphDelta::Between(g0, g1).DirtyFrontier(g1);
+
+  DeltaPageRankOptions options;
+  options.base = base;
+  options.base.initial_scores = r0.scores;
+  DeltaPageRankResult gs =
+      ComputeDeltaPageRank(g1, frontier, options).value();
+  options.full_sweep_period = 1;  // every sweep Jacobi
+  DeltaPageRankResult jacobi =
+      ComputeDeltaPageRank(g1, frontier, options).value();
+
+  EXPECT_TRUE(gs.base.converged);
+  EXPECT_TRUE(jacobi.base.converged);
+  // Iteration counts are deterministic, so this is an exact check.
+  EXPECT_LE(gs.base.iterations * 10, jacobi.base.iterations * 7)
+      << "gauss-seidel " << gs.base.iterations << " vs jacobi "
+      << jacobi.base.iterations;
+}
+
+TEST(DeltaPageRankTest, WarmStreamStaysWithinTheJacobiBound) {
+  // Twenty warm generations, each checked against a tight from-scratch
+  // solve: the returned vector must sit within alpha * tol / (1 - alpha)
+  // of the fixed point (L1, probability scale), the bound a Jacobi
+  // engine stopping at tol meets — which is what the tol / 2 stop buys
+  // back from the non-conserving Gauss–Seidel sweeps.
+  CsrGraph g = SiteGraph();
+  PageRankOptions base;
+  base.tolerance = 1e-10;
+  PageRankOptions exact = base;
+  exact.tolerance = 1e-15;
+  exact.max_iterations = 2000;
+  const double bound =
+      base.damping * base.tolerance / (1.0 - base.damping);
+
+  DeltaPageRankOptions options;
+  options.base = base;
+  std::vector<double> scores = ComputePageRank(g, base).value().scores;
+  for (int gen = 0; gen < 20; ++gen) {
+    CsrGraph next = Perturb(g, 300, 100 + gen);
+    const std::vector<uint8_t> frontier =
+        GraphDelta::Between(g, next).DirtyFrontier(next);
+    options.base.initial_scores = scores;
+    DeltaPageRankResult incr =
+        ComputeDeltaPageRank(next, frontier, options).value();
+    PageRankResult truth = ComputePageRank(next, exact).value();
+    ASSERT_TRUE(incr.base.converged) << "generation " << gen;
+    ASSERT_TRUE(truth.converged);
+    EXPECT_LT(L1Distance(incr.base.scores, truth.scores), bound)
+        << "generation " << gen;
+    scores = std::move(incr.base.scores);
+    g = std::move(next);
+  }
+}
+
 TEST(DeltaPageRankTest, ValidatesOptions) {
   CsrGraph g = RandomGraph(100, 3, 31);
   DeltaPageRankOptions options;
