@@ -17,7 +17,6 @@
 #include "bench_json.h"
 #include "common/parallel_for.h"
 #include "common/rng.h"
-#include "graph/analysis.h"
 #include "graph/generators.h"
 #include "graph/reorder.h"
 #include "rank/adaptive_pagerank.h"
@@ -28,14 +27,13 @@
 
 namespace {
 
-// Set by --order= / --partition= / --kernel= / --compressed= in main;
-// consumed by the site-locality benchmarks below. The BM_PageRankKernel
+// Set by --order= / --partition= / --kernel= in main; consumed by the
+// site-locality benchmarks below. The BM_PageRankKernel
 // family ignores these and pins its own variants so the regression gate
 // always compares scalar vs SIMD within one run.
 qrank::NodeOrdering g_order = qrank::NodeOrdering::kIdentity;
 qrank::SweepPartition g_partition = qrank::SweepPartition::kEdgeBalanced;
 qrank::KernelVariant g_kernel = qrank::KernelVariant::kScalar;
-bool g_compressed = false;
 
 qrank::CsrGraph MakeGraph(int64_t nodes, uint32_t out_degree = 8) {
   qrank::Rng rng(1234);
@@ -242,10 +240,8 @@ void RunSiteLocality(benchmark::State& state, const SiteLocalityCase& c) {
   o.tolerance = 1e-300;  // never met: fixed work per run
   o.partition = g_partition;
   o.kernel = g_kernel;
-  o.use_compressed_transpose = g_compressed;
   o.num_threads = static_cast<int>(state.range(0));
   c.reordered.graph.BuildTranspose();  // outside the timed region
-  if (g_compressed) c.reordered.graph.BuildCompressedTranspose();
   for (auto _ : state) {
     auto r = qrank::ComputePageRank(c.reordered.graph, o);
     benchmark::DoNotOptimize(r->scores.data());
@@ -272,10 +268,9 @@ void BM_PageRankSiteLocalityXL(benchmark::State& state) {
 }
 
 // ---------------------------------------------------------------------------
-// Kernel throughput: scalar vs SIMD x raw vs compressed transpose, on
-// the sitexl graph under the --order= relabeling. Fixed 20 Jacobi
-// iterations; counters carry edges/s, the resolved dispatch level and
-// the measured in-neighbor bytes-per-edge, and the
+// Kernel throughput: scalar vs SIMD on the sitexl graph under the
+// --order= relabeling. Fixed 20 Jacobi iterations; counters carry
+// edges/s and the resolved dispatch level, and the
 // --check_kernel_regression gate in main reads them back.
 // ---------------------------------------------------------------------------
 
@@ -285,63 +280,47 @@ const qrank::CsrGraph& KernelGraph() {
     qrank::CsrGraph ordered =
         std::move(qrank::ReorderGraph(crawl, g_order).value().graph);
     ordered.BuildTranspose();
-    ordered.BuildCompressedTranspose();
     return ordered;
   }();
   return g;
 }
 
-void RunKernelThroughput(benchmark::State& state, qrank::KernelVariant kernel,
-                         bool compressed) {
+void RunKernelThroughput(benchmark::State& state,
+                         qrank::KernelVariant kernel) {
   const qrank::CsrGraph& g = KernelGraph();
   qrank::PageRankOptions o = BaseOptions();
   o.max_iterations = 20;
   o.tolerance = 1e-300;  // never met: fixed work per run
   o.partition = g_partition;
   o.kernel = kernel;
-  o.use_compressed_transpose = compressed;
   o.num_threads = static_cast<int>(state.range(0));
   for (auto _ : state) {
     auto r = qrank::ComputePageRank(g, o);
     benchmark::DoNotOptimize(r->scores.data());
   }
-  const qrank::TransposeStorageStats storage =
-      qrank::ComputeTransposeStorage(g);
   state.counters["threads"] = static_cast<double>(state.range(0));
   state.counters["simd_level"] = static_cast<double>(
       qrank::rank_internal::KernelVariantLevel(kernel));
-  state.counters["bytes_per_edge"] = compressed
-                                         ? storage.compressed_bytes_per_edge
-                                         : storage.raw_bytes_per_edge;
-  state.counters["compression_ratio"] = storage.compression_ratio;
   state.counters["edges/s"] = benchmark::Counter(
       static_cast<double>(g.num_edges()) * 20.0,
       benchmark::Counter::kIsIterationInvariantRate);
 }
 
 void BM_PageRankKernelScalar(benchmark::State& state) {
-  RunKernelThroughput(state, qrank::KernelVariant::kScalar, false);
-}
-void BM_PageRankKernelScalarCompressed(benchmark::State& state) {
-  RunKernelThroughput(state, qrank::KernelVariant::kScalar, true);
+  RunKernelThroughput(state, qrank::KernelVariant::kScalar);
 }
 void BM_PageRankKernelSimd(benchmark::State& state) {
-  RunKernelThroughput(state, qrank::KernelVariant::kSimd, false);
-}
-void BM_PageRankKernelSimdCompressed(benchmark::State& state) {
-  RunKernelThroughput(state, qrank::KernelVariant::kSimd, true);
+  RunKernelThroughput(state, qrank::KernelVariant::kSimd);
 }
 
-// --check_kernel_regression: fails the process unless, within this very
-// run, (a) the SIMD kernel beat the scalar oracle on sitexl by
-// --min_simd_speedup (default 1.2x; within-run ratios survive host
-// changes where absolute floors do not), (b) SIMD throughput cleared
-// --min_simd_edges_per_s (default 700M/s, the PR acceptance floor of
-// 2x the 355M/s the scalar kernel shipped at), and (c) the delta-gap
-// transpose actually compressed by >= --min_compression (default 1.8x).
+// --check_kernel_regression: on an AVX-512 host, fails the process
+// unless, within this very run, (a) the SIMD kernel beat the scalar
+// oracle on sitexl by --min_simd_speedup (default 1.2x; within-run
+// ratios survive host changes where absolute floors do not) and (b)
+// SIMD throughput cleared --min_simd_edges_per_s (default 700M/s, the
+// PR acceptance floor of 2x the 355M/s the scalar kernel shipped at).
 int CheckKernelRegression(const std::vector<qrank_bench::BenchRow>& rows,
-                          double min_speedup, double min_edges_per_s,
-                          double min_compression) {
+                          double min_speedup, double min_edges_per_s) {
   auto find = [&rows](const std::string& name) -> const qrank_bench::BenchRow* {
     for (const qrank_bench::BenchRow& r : rows) {
       if (r.name.rfind(name, 0) == 0) return &r;
@@ -350,57 +329,44 @@ int CheckKernelRegression(const std::vector<qrank_bench::BenchRow>& rows,
   };
   const qrank_bench::BenchRow* scalar = find("BM_PageRankKernelScalar/");
   const qrank_bench::BenchRow* simd = find("BM_PageRankKernelSimd/");
-  const qrank_bench::BenchRow* compressed =
-      find("BM_PageRankKernelSimdCompressed/");
-  if (scalar == nullptr || simd == nullptr || compressed == nullptr) {
+  if (scalar == nullptr || simd == nullptr) {
     std::fprintf(stderr,
                  "check_kernel_regression: kernel benchmarks missing from "
                  "this run (use a filter that keeps BM_PageRankKernel*)\n");
     return 1;
   }
-  int rc = 0;
   const double scalar_rate = scalar->Counter("edges/s");
   const double simd_rate = simd->Counter("edges/s");
   const double speedup = scalar_rate > 0.0 ? simd_rate / scalar_rate : 0.0;
-  const double ratio = compressed->Counter("compression_ratio");
-  if (simd->Counter("simd_level") < 2.0) {
-    // Scalar-only host/build, or AVX2-only (level 1): the documented
-    // speedup comes from 512-bit gathers — AVX2's are microcoded on
-    // common cores and land at scalar speed, so gating throughput
-    // there would flake on mixed CI fleets. Still enforce the
-    // compression gate, which is host-independent.
+  if (simd->Counter("simd_level") !=
+      static_cast<double>(qrank::SimdLevel::kAvx512)) {
+    // Scalar-only host or build: kSimd ran the scalar oracle, so there
+    // is no speedup to gate.
     std::fprintf(stderr,
-                 "check_kernel_regression: AVX-512 unavailable (dispatch "
-                 "level %.0f); skipping throughput gates\n",
-                 simd->Counter("simd_level"));
-  } else {
-    if (speedup < min_speedup) {
-      std::fprintf(stderr,
-                   "check_kernel_regression: FAIL simd/scalar speedup "
-                   "%.2fx < %.2fx (scalar %.3g simd %.3g edges/s)\n",
-                   speedup, min_speedup, scalar_rate, simd_rate);
-      rc = 1;
-    }
-    if (simd_rate < min_edges_per_s) {
-      std::fprintf(stderr,
-                   "check_kernel_regression: FAIL simd throughput %.3g "
-                   "edges/s < floor %.3g\n",
-                   simd_rate, min_edges_per_s);
-      rc = 1;
-    }
+                 "check_kernel_regression: AVX-512 unavailable; skipping "
+                 "throughput gates\n");
+    return 0;
   }
-  if (ratio < min_compression) {
+  int rc = 0;
+  if (speedup < min_speedup) {
     std::fprintf(stderr,
-                 "check_kernel_regression: FAIL transpose compression "
-                 "%.2fx < %.2fx\n",
-                 ratio, min_compression);
+                 "check_kernel_regression: FAIL simd/scalar speedup "
+                 "%.2fx < %.2fx (scalar %.3g simd %.3g edges/s)\n",
+                 speedup, min_speedup, scalar_rate, simd_rate);
+    rc = 1;
+  }
+  if (simd_rate < min_edges_per_s) {
+    std::fprintf(stderr,
+                 "check_kernel_regression: FAIL simd throughput %.3g "
+                 "edges/s < floor %.3g\n",
+                 simd_rate, min_edges_per_s);
     rc = 1;
   }
   if (rc == 0) {
     std::fprintf(stderr,
                  "check_kernel_regression: PASS speedup %.2fx, simd %.3g "
-                 "edges/s, compression %.2fx\n",
-                 speedup, simd_rate, ratio);
+                 "edges/s\n",
+                 speedup, simd_rate);
   }
   return rc;
 }
@@ -433,29 +399,21 @@ BENCHMARK(BM_PageRankSiteLocalityXL)->Arg(1)->Arg(8)
 BENCHMARK(BM_PageRankKernelScalar)->Arg(1)
     ->Unit(benchmark::kMillisecond)->MeasureProcessCPUTime()
     ->UseRealTime();
-BENCHMARK(BM_PageRankKernelScalarCompressed)->Arg(1)
-    ->Unit(benchmark::kMillisecond)->MeasureProcessCPUTime()
-    ->UseRealTime();
 BENCHMARK(BM_PageRankKernelSimd)->Arg(1)->Arg(8)
-    ->Unit(benchmark::kMillisecond)->MeasureProcessCPUTime()
-    ->UseRealTime();
-BENCHMARK(BM_PageRankKernelSimdCompressed)->Arg(1)
     ->Unit(benchmark::kMillisecond)->MeasureProcessCPUTime()
     ->UseRealTime();
 
 // Shared BenchMain handles --threads= and the BENCH_pagerank.json
 // output. Stripped here: --order=identity|degree|bfs|hybrid and
 // --partition=node|edge relabel/partition the site-locality and kernel
-// suites; --kernel=scalar|simd|avx2|avx512 and --compressed=BOOL steer
-// the site-locality benchmarks (the kernel suite pins its own
-// variants); --check_kernel_regression[=BOOL] plus the
-// --min_simd_speedup= / --min_simd_edges_per_s= / --min_compression=
-// floors turn the run into a CI gate.
+// suites; --kernel=scalar|simd steers the site-locality benchmarks (the
+// kernel suite pins its own variants); --check_kernel_regression[=BOOL]
+// plus the --min_simd_speedup= / --min_simd_edges_per_s= floors turn
+// the run into a CI gate.
 int main(int argc, char** argv) {
   bool check_regression = false;
   double min_speedup = 1.2;
   double min_edges_per_s = 7e8;
-  double min_compression = 1.8;
   std::vector<char*> args;
   for (int i = 0; i < argc; ++i) {
     std::string a = argv[i];
@@ -479,10 +437,6 @@ int main(int argc, char** argv) {
       }
       continue;
     }
-    if (a.rfind("--compressed", 0) == 0) {
-      g_compressed = a != "--compressed=false" && a != "--compressed=0";
-      continue;
-    }
     if (a == "--check_kernel_regression" ||
         a == "--check_kernel_regression=true") {
       check_regression = true;
@@ -496,18 +450,13 @@ int main(int argc, char** argv) {
       min_edges_per_s = std::atof(a.c_str() + 23);
       continue;
     }
-    if (a.rfind("--min_compression=", 0) == 0) {
-      min_compression = std::atof(a.c_str() + 18);
-      continue;
-    }
     args.push_back(argv[i]);
   }
   return qrank_bench::BenchMain(
       static_cast<int>(args.size()), args.data(), "pagerank",
       [&](const std::vector<qrank_bench::BenchRow>& rows) {
         return check_regression
-                   ? CheckKernelRegression(rows, min_speedup, min_edges_per_s,
-                                           min_compression)
+                   ? CheckKernelRegression(rows, min_speedup, min_edges_per_s)
                    : 0;
       });
 }

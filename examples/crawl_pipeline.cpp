@@ -10,7 +10,6 @@
 //
 // Usage:  ./build/examples/crawl_pipeline [output_dir] [--incremental]
 //             [--order=NAME] [--partition=node|edge] [--kernel=NAME]
-//             [--compressed=BOOL]
 // (default output dir: /tmp/qrank_crawl)
 //
 // --incremental switches the per-snapshot PageRank stage to the delta
@@ -18,8 +17,8 @@
 // the from-scratch mode within the engine tolerance. The solver knobs
 // are the shared set from rank/solver_flags.h: --order relabels every
 // snapshot for cache locality (safe here — page ids are pure labels and
-// the report is emitted in original ids), and --partition / --kernel /
-// --compressed select the sweep configuration.
+// the report is emitted in original ids), and --partition / --kernel
+// select the sweep configuration.
 
 #include <cstdio>
 #include <cstdlib>

@@ -154,19 +154,6 @@ void RunGraphTranspose(const AuditContext& ctx, AuditReport* report) {
   }
 }
 
-void RunGraphCompressedTranspose(const AuditContext& ctx,
-                                 AuditReport* report) {
-  const AuditValidator& self = *FindValidator("graph.compressed_transpose");
-  const CsrGraph& g = *ctx.graph;
-  const CompressedCsr& c = g.BuildCompressedTranspose();
-  // Structural invariants of the varint stream first (cheap), then the
-  // edge-for-edge comparison against the raw transpose arrays, which are
-  // themselves audited by graph.transpose.
-  Status st = c.ValidateRows();
-  if (st.ok()) st = c.CheckAgainst(g.in_offsets(), g.in_sources());
-  if (!st.ok()) Fail(report, self, st.message());
-}
-
 void RunGraphNonEmpty(const AuditContext& ctx, AuditReport* report) {
   const AuditValidator& self = *FindValidator("graph.nonempty");
   const CsrGraph& g = *ctx.graph;
@@ -834,14 +821,6 @@ const std::vector<AuditValidator>& AuditRegistry() {
          return ctx.graph != nullptr && ctx.graph->has_transpose();
        },
        RunGraphTranspose},
-      {"graph.compressed_transpose", AuditSeverity::kError,
-       "delta-gap varint transpose decodes to exactly the raw transpose "
-       "arrays",
-       [](const AuditContext& ctx) {
-         return ctx.graph != nullptr &&
-                ctx.graph->has_compressed_transpose();
-       },
-       RunGraphCompressedTranspose},
       {"graph.nonempty", AuditSeverity::kWarning,
        "graphs with nodes but no edges are suspicious inputs for the "
        "ranking pipeline",

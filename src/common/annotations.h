@@ -14,8 +14,8 @@
 //  * QRANK_SCALAR_TU_ONLY — this definition is on the bit-exactness
 //    list: it may only live in a translation unit compiled without
 //    -mavx*/-ffast-math, because implied FMA contraction would re-round
-//    its arithmetic (lint rule `scalar-tu`; see sweep_ops.h on why
-//    ScalarCompressedBlockSweep must come from the scalar TU). The rule
+//    its arithmetic (lint rule `scalar-tu`; see pagerank_kernel.cc on
+//    why ScalarSweepFuncs must come from the scalar TU). The rule
 //    also rejects the marker in headers — a header definition could be
 //    instantiated under any TU's flags.
 

@@ -1,5 +1,6 @@
 #include "common/simd.h"
 
+#include <cstdio>
 #include <cstdlib>
 
 namespace qrank {
@@ -19,25 +20,30 @@ SimdLevel ProbeHardware() {
       __builtin_cpu_supports("avx512vl")) {
     return SimdLevel::kAvx512;
   }
-  if (__builtin_cpu_supports("avx2")) return SimdLevel::kAvx2;
 #endif
   return SimdLevel::kScalar;
 }
 
 SimdLevel EnvCap() {
   const char* force = std::getenv("QRANK_FORCE_SIMD_LEVEL");
-  if (force == nullptr) return SimdLevel::kAvx512;  // no cap
-  SimdLevel parsed;
-  if (ParseSimdLevel(force, &parsed)) return parsed;
-  return SimdLevel::kAvx512;  // unknown value: ignore, never escalate
+  bool unknown = false;
+  const SimdLevel cap = ForcedSimdCap(force, &unknown);
+  if (unknown) {
+    std::fprintf(stderr,
+                 "qrank: QRANK_FORCE_SIMD_LEVEL='%s' is not scalar or "
+                 "avx512; capping dispatch at scalar\n",
+                 force);
+  }
+  return cap;
 }
 
+// min(hardware, build, env cap): with two levels, any limit below the
+// hardware's means scalar.
 SimdLevel ComputeDetected() {
-  SimdLevel level = ProbeHardware();
   const SimdLevel cap = EnvCap();
-  if (cap < level) level = cap;
-  while (level != SimdLevel::kScalar && !SimdLevelCompiled(level)) {
-    level = static_cast<SimdLevel>(static_cast<uint8_t>(level) - 1);
+  const SimdLevel level = ProbeHardware();
+  if (cap == SimdLevel::kScalar || !SimdLevelCompiled(level)) {
+    return SimdLevel::kScalar;
   }
   return level;
 }
@@ -58,8 +64,6 @@ const char* SimdLevelName(SimdLevel level) {
   switch (level) {
     case SimdLevel::kScalar:
       return "scalar";
-    case SimdLevel::kAvx2:
-      return "avx2";
     case SimdLevel::kAvx512:
       return "avx512";
   }
@@ -69,14 +73,21 @@ const char* SimdLevelName(SimdLevel level) {
 bool ParseSimdLevel(const std::string& text, SimdLevel* out) {
   if (text == "scalar") {
     *out = SimdLevel::kScalar;
-  } else if (text == "avx2") {
-    *out = SimdLevel::kAvx2;
   } else if (text == "avx512") {
     *out = SimdLevel::kAvx512;
   } else {
     return false;
   }
   return true;
+}
+
+SimdLevel ForcedSimdCap(const char* value, bool* unknown) {
+  *unknown = false;
+  if (value == nullptr) return SimdLevel::kAvx512;  // no cap
+  SimdLevel parsed;
+  if (ParseSimdLevel(value, &parsed)) return parsed;
+  *unknown = true;
+  return SimdLevel::kScalar;
 }
 
 std::string SimdFeatureString() {
@@ -100,12 +111,6 @@ bool SimdLevelCompiled(SimdLevel level) {
   switch (level) {
     case SimdLevel::kScalar:
       return true;
-    case SimdLevel::kAvx2:
-#if defined(QRANK_HAVE_AVX2)
-      return true;
-#else
-      return false;
-#endif
     case SimdLevel::kAvx512:
 #if defined(QRANK_HAVE_AVX512)
       return true;

@@ -1,16 +1,17 @@
 // Runtime SIMD capability detection.
 //
-// The repo builds ISA-specific translation units (see src/rank/
-// pagerank_kernel_avx2.cc / _avx512.cc) only when the compiler supports
-// the flags and the target is x86_64; whether those units actually run
-// is decided per process by this shim. Detection is a one-time CPUID
+// The repo builds the AVX-512 translation unit (src/rank/
+// pagerank_kernel_avx512.cc) only when the compiler supports the flags
+// and the target is x86_64; whether it actually runs is decided per
+// process by this shim. Detection is a one-time CPUID
 // probe (GCC/Clang __builtin_cpu_supports) cached in a static, so the
 // hot paths pay one predictable load. Non-x86 builds and compilers
 // without the builtin report kScalar.
 //
-// QRANK_FORCE_SIMD_LEVEL (env var: "scalar" | "avx2" | "avx512") caps
-// the detected level below the hardware's — never above — so the
-// equivalence tests and benches can pin a variant on any machine.
+// QRANK_FORCE_SIMD_LEVEL (env var: "scalar" | "avx512") caps the
+// detected level below the hardware's — never above — so the
+// equivalence tests and benches can pin a variant on any machine. Any
+// other value caps at scalar, the oracle, and says so on stderr.
 
 #ifndef QRANK_COMMON_SIMD_H_
 #define QRANK_COMMON_SIMD_H_
@@ -20,11 +21,10 @@
 
 namespace qrank {
 
-/// The dispatch tiers the pull-sweep kernel knows about. Order is
-/// meaningful: higher enumerators strictly include the lower ISAs.
+/// The dispatch tiers the pull-sweep kernel knows about. The values
+/// are what the benches record as their `simd_level` counter.
 enum class SimdLevel : uint8_t {
   kScalar = 0,
-  kAvx2 = 1,    // AVX2 (4x double gather lanes)
   kAvx512 = 2,  // AVX-512F + VL (8x double gather lanes, masked tails)
 };
 
@@ -37,11 +37,17 @@ SimdLevel DetectSimdLevel();
 /// was compiled with. For reporting (bench host context), not dispatch.
 SimdLevel HardwareSimdLevel();
 
-/// "scalar" | "avx2" | "avx512".
+/// "scalar" | "avx512".
 const char* SimdLevelName(SimdLevel level);
 
 /// Parses the names above. Returns false on unknown input.
 bool ParseSimdLevel(const std::string& text, SimdLevel* out);
+
+/// The cap a QRANK_FORCE_SIMD_LEVEL value puts on dispatch: none
+/// (kAvx512) when unset (nullptr), the named level when ParseSimdLevel
+/// knows it, and kScalar for anything else — an unknown value never
+/// leaves a faster path running. Sets `*unknown` for the last case.
+SimdLevel ForcedSimdCap(const char* value, bool* unknown);
 
 /// Human-readable ISA feature summary for bench JSON host stamping,
 /// e.g. "avx2+avx512f+avx512vl" or "none". Reports hardware features,
@@ -49,7 +55,7 @@ bool ParseSimdLevel(const std::string& text, SimdLevel* out);
 std::string SimdFeatureString();
 
 /// True when this binary carries the code path for `level` (compile-time
-/// QRANK_HAVE_AVX2 / QRANK_HAVE_AVX512 gating in src/rank).
+/// QRANK_HAVE_AVX512 gating in src/rank).
 bool SimdLevelCompiled(SimdLevel level);
 
 }  // namespace qrank

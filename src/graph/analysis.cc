@@ -240,26 +240,6 @@ uint64_t CountReachable(const CsrGraph& g, NodeId source) {
   return count;
 }
 
-TransposeStorageStats ComputeTransposeStorage(const CsrGraph& g) {
-  TransposeStorageStats stats;
-  stats.num_edges = g.num_edges();
-  g.BuildTranspose();
-  // in_offsets spans num_nodes + 1 size_t entries; in_sources one
-  // NodeId per edge.
-  stats.raw_bytes = g.in_offsets().size() * sizeof(size_t) +
-                    g.in_sources().size() * sizeof(NodeId);
-  const CompressedCsr& compressed = g.BuildCompressedTranspose();
-  stats.compressed_bytes = compressed.StorageBytes();
-  if (stats.num_edges > 0) {
-    stats.raw_bytes_per_edge = static_cast<double>(stats.raw_bytes) /
-                               static_cast<double>(stats.num_edges);
-    stats.compressed_bytes_per_edge = compressed.BytesPerEdge();
-    stats.compression_ratio = static_cast<double>(stats.raw_bytes) /
-                              static_cast<double>(stats.compressed_bytes);
-  }
-  return stats;
-}
-
 double AverageDegree(const CsrGraph& g) {
   if (g.num_nodes() == 0) return 0.0;
   return static_cast<double>(g.num_edges()) /

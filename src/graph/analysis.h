@@ -64,28 +64,6 @@ std::vector<uint32_t> BfsDistances(const CsrGraph& g, NodeId source);
 /// Number of nodes reachable from `source` (including itself).
 uint64_t CountReachable(const CsrGraph& g, NodeId source);
 
-/// Resident-byte accounting for the two in-neighbor representations the
-/// pull kernel can run over: the raw transpose arrays (8-byte row
-/// offsets + 4-byte source ids) versus the delta-gap varint encoding of
-/// graph/compressed_csr.h (8-byte row byte-offsets + the byte stream).
-/// `bytes_per_edge` divides total resident bytes — offsets included,
-/// they are real memory traffic — by the edge count, so the compression
-/// win is a measured number (surfaced in qrank_audit TSV and the bench
-/// JSON counters).
-struct TransposeStorageStats {
-  uint64_t num_edges = 0;
-  uint64_t raw_bytes = 0;
-  uint64_t compressed_bytes = 0;
-  double raw_bytes_per_edge = 0.0;
-  double compressed_bytes_per_edge = 0.0;
-  /// raw_bytes / compressed_bytes (0 for edgeless graphs).
-  double compression_ratio = 0.0;
-};
-
-/// Builds the transpose and its gap encoding if absent (both cached on
-/// the graph), then reports the byte accounting above.
-TransposeStorageStats ComputeTransposeStorage(const CsrGraph& g);
-
 /// Mean out-degree (= mean in-degree) of the graph; 0 for empty graphs.
 double AverageDegree(const CsrGraph& g);
 

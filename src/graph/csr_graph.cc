@@ -102,31 +102,6 @@ void CsrGraph::EnsureTranspose() const {
   });
 }
 
-const CompressedCsr& CsrGraph::BuildCompressedTranspose() const {
-  CompressedTransposeState& state = *compressed_transpose_;
-  if (state.ready.load(std::memory_order_acquire)) return state.cache;
-  std::call_once(state.once, [&] {
-    EnsureTranspose();
-    Result<CompressedCsr> encoded =
-        CompressedCsr::Encode(in_offsets(), in_sources(), num_nodes_);
-    // A consistent transpose always encodes: rows are strictly
-    // ascending in-range source lists by construction.
-    QRANK_CHECK(encoded.ok())
-        << "gap-encoding the transpose failed: "
-        << encoded.status().ToString();
-    state.cache = std::move(encoded).value();
-    if constexpr (kAuditLevel >= 2) {
-      const Status audit =
-          state.cache.CheckAgainst(in_offsets(), in_sources());
-      QRANK_CHECK(audit.ok())
-          << "compressed transpose disagrees with the transpose arrays: "
-          << audit.ToString();
-    }
-    state.ready.store(true, std::memory_order_release);
-  });
-  return state.cache;
-}
-
 void CsrGraph::BuildTransposeCache(TransposeCache* cache) const {
   cache->offsets.assign(static_cast<size_t>(num_nodes_) + 1, 0);
   cache->src.resize(dst_.size());

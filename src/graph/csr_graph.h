@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "graph/compressed_csr.h"
 #include "graph/edge_list.h"
 
 namespace qrank {
@@ -89,20 +88,6 @@ class CsrGraph {
     return transpose_->ready.load(std::memory_order_acquire);
   }
 
-  /// Builds (and caches) the delta-gap compressed transpose — the
-  /// representation the kernel's decode-on-the-fly pull path reads
-  /// (see graph/compressed_csr.h). Builds the plain transpose first if
-  /// absent. Same std::call_once discipline as BuildTranspose: safe to
-  /// call concurrently, built exactly once, and the O(E) encode lands
-  /// outside timed sweeps when callers warm it up front. The returned
-  /// reference stays valid while any copy of this graph lives.
-  const CompressedCsr& BuildCompressedTranspose() const;
-
-  /// True if the compressed transpose cache has been built.
-  bool has_compressed_transpose() const {
-    return compressed_transpose_->ready.load(std::memory_order_acquire);
-  }
-
   /// Applies a structural delta (see graph/graph_delta.h), producing the
   /// successor snapshot's graph in O(E + |delta|) — no edge sort, no
   /// degree-count scatter. If this graph's transpose cache is built, the
@@ -171,18 +156,6 @@ class CsrGraph {
   };
   mutable std::shared_ptr<TransposeState> transpose_ =
       std::make_shared<TransposeState>();
-
-  // Lazily gap-encoded transpose, same lifetime/publication story as
-  // TransposeState. Never carried across ApplyDelta/Permute — the
-  // successor re-encodes lazily (encoding is O(E), cheaper than the
-  // transpose build it depends on).
-  struct CompressedTransposeState {
-    std::once_flag once;
-    std::atomic<bool> ready{false};
-    CompressedCsr cache;
-  };
-  mutable std::shared_ptr<CompressedTransposeState> compressed_transpose_ =
-      std::make_shared<CompressedTransposeState>();
 };
 
 }  // namespace qrank

@@ -236,108 +236,4 @@ Result<CsrGraph> ReadGraphBinary(const std::string& path) {
   return CsrGraph::FromEdges(num_nodes, edges);
 }
 
-namespace {
-
-constexpr char kCompressedMagic[4] = {'Q', 'R', 'K', 'C'};
-constexpr uint32_t kCompressedVersion = 1;
-
-}  // namespace
-
-Status WriteCompressedCsr(const CompressedCsr& matrix,
-                          const std::string& path) {
-  std::vector<uint8_t> payload;
-  payload.reserve(24 + matrix.byte_offsets().size() * 8 +
-                  matrix.bytes().size());
-  AppendPod(&payload, static_cast<uint32_t>(matrix.num_rows()));
-  AppendPod(&payload, static_cast<uint32_t>(matrix.id_bound()));
-  AppendPod(&payload, static_cast<uint64_t>(matrix.num_values()));
-  AppendPod(&payload, static_cast<uint64_t>(matrix.bytes().size()));
-  for (uint64_t off : matrix.byte_offsets()) AppendPod(&payload, off);
-  payload.insert(payload.end(), matrix.bytes().begin(),
-                 matrix.bytes().end());
-  const uint64_t checksum = Fnv1a(payload.data(), payload.size(), kFnvOffset);
-
-  std::ofstream f(path, std::ios::binary);
-  if (!f) return Status::IOError("cannot open for write: " + path);
-  f.write(kCompressedMagic, sizeof(kCompressedMagic));
-  f.write(reinterpret_cast<const char*>(&kCompressedVersion),
-          sizeof(kCompressedVersion));
-  f.write(reinterpret_cast<const char*>(payload.data()),
-          static_cast<std::streamsize>(payload.size()));
-  f.write(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
-  f.flush();
-  if (!f) return Status::IOError("write failed: " + path);
-  return Status::OK();
-}
-
-Result<CompressedCsr> ReadCompressedCsr(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) return Status::IOError("cannot open for read: " + path);
-
-  char magic[4];
-  f.read(magic, sizeof(magic));
-  if (!f || std::memcmp(magic, kCompressedMagic, sizeof(kCompressedMagic)) !=
-                0) {
-    return Status::Corruption("bad magic in " + path);
-  }
-  uint32_t version = 0;
-  if (!ReadPod(f, &version) || version != kCompressedVersion) {
-    return Status::Corruption("unsupported version in " + path);
-  }
-  uint32_t num_rows = 0;
-  uint32_t id_bound = 0;
-  uint64_t num_values = 0;
-  uint64_t byte_count = 0;
-  if (!ReadPod(f, &num_rows) || !ReadPod(f, &id_bound) ||
-      !ReadPod(f, &num_values) || !ReadPod(f, &byte_count)) {
-    return Status::Corruption("truncated header in " + path);
-  }
-  // Hardened-reader contract: the header's counts are untrusted until
-  // the file is proven to actually hold that many bytes — a corrupt
-  // count must fail with Corruption, never OOM.
-  {
-    const std::istream::pos_type here = f.tellg();
-    f.seekg(0, std::ios::end);
-    const std::istream::pos_type end = f.tellg();
-    f.seekg(here);
-    if (!f || here < 0 || end < here) {
-      return Status::IOError("cannot size " + path);
-    }
-    const uint64_t remaining = static_cast<uint64_t>(end - here);
-    const uint64_t offsets_bytes = (static_cast<uint64_t>(num_rows) + 1) * 8;
-    if (byte_count > remaining || offsets_bytes > remaining - byte_count ||
-        remaining < offsets_bytes + byte_count + 8) {
-      return Status::Corruption("header promises more data than " + path +
-                                " holds");
-    }
-  }
-  std::vector<uint8_t> payload;
-  payload.reserve(24 + (static_cast<size_t>(num_rows) + 1) * 8 + byte_count);
-  AppendPod(&payload, num_rows);
-  AppendPod(&payload, id_bound);
-  AppendPod(&payload, num_values);
-  AppendPod(&payload, byte_count);
-
-  std::vector<uint64_t> byte_offsets(static_cast<size_t>(num_rows) + 1);
-  for (uint64_t& off : byte_offsets) {
-    if (!ReadPod(f, &off)) return Status::Corruption("truncated offsets");
-    AppendPod(&payload, off);
-  }
-  std::vector<uint8_t> bytes(byte_count);
-  f.read(reinterpret_cast<char*>(bytes.data()),
-         static_cast<std::streamsize>(byte_count));
-  if (!f) return Status::Corruption("truncated varint stream");
-  payload.insert(payload.end(), bytes.begin(), bytes.end());
-
-  uint64_t stored = 0;
-  if (!ReadPod(f, &stored)) return Status::Corruption("missing checksum");
-  const uint64_t actual = Fnv1a(payload.data(), payload.size(), kFnvOffset);
-  if (stored != actual) return Status::Corruption("checksum mismatch");
-
-  // FromParts runs ValidateRows: the varint stream never reaches the
-  // unchecked fast decoder without passing the full structural check.
-  return CompressedCsr::FromParts(num_rows, num_values, id_bound,
-                                  std::move(byte_offsets), std::move(bytes));
-}
-
 }  // namespace qrank

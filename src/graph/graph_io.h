@@ -11,17 +11,6 @@
 //   offsets[num_nodes+1]:u64 targets[num_edges]:u32 checksum:u64
 // The checksum is a FNV-1a over the payload; load verifies it and fails
 // with Corruption on mismatch.
-//
-// Compressed-matrix format ("QRKC" magic, little-endian) — a serialized
-// graph/compressed_csr.h delta-gap varint matrix (typically a graph's
-// compressed transpose):
-//   magic[4] version:u32 num_rows:u32 id_bound:u32
-//   num_values:u64 byte_count:u64
-//   byte_offsets[num_rows+1]:u64 bytes[byte_count]:u8 checksum:u64
-// Load follows the PR-3 hardened-reader contract: header-declared
-// counts are cross-checked against the real file size BEFORE any
-// allocation, the FNV-1a checksum must match, and the varint stream
-// must pass CompressedCsr::ValidateRows before the matrix is returned.
 
 #ifndef QRANK_GRAPH_GRAPH_IO_H_
 #define QRANK_GRAPH_GRAPH_IO_H_
@@ -29,7 +18,6 @@
 #include <string>
 
 #include "common/status.h"
-#include "graph/compressed_csr.h"
 #include "graph/csr_graph.h"
 #include "graph/edge_list.h"
 
@@ -48,14 +36,6 @@ Status WriteGraphBinary(const CsrGraph& graph, const std::string& path);
 /// Reads a binary snapshot; verifies magic, version, structure and
 /// checksum.
 Result<CsrGraph> ReadGraphBinary(const std::string& path);
-
-/// Writes a compressed matrix in the QRKC binary format.
-Status WriteCompressedCsr(const CompressedCsr& matrix,
-                          const std::string& path);
-
-/// Reads a QRKC file; verifies magic, version, size-vs-header,
-/// checksum, and fully validates the varint stream.
-Result<CompressedCsr> ReadCompressedCsr(const std::string& path);
 
 }  // namespace qrank
 

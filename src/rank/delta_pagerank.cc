@@ -6,7 +6,6 @@
 #include <span>
 
 #include "audit/audit.h"
-#include "graph/compressed_csr.h"
 #include "common/logging.h"
 #include "common/parallel_for.h"
 #include "rank/internal.h"
@@ -66,19 +65,10 @@ Result<DeltaPageRankResult> ComputeDeltaPageRank(
 
   // Per-row pulls run the dispatched fold shared with the batch kernel
   // (rank/sweep_ops.h): same 4-accumulator oracle for scalar, same
-  // bit-exactness/tolerance story per variant, and the compressed
-  // transpose plugs in per options.base.use_compressed_transpose.
+  // tolerance story for AVX-512.
   const rank_internal::SweepFuncs sweep_funcs =
       rank_internal::ResolveSweepFuncs(
           rank_internal::KernelVariantLevel(options.base.kernel));
-  const bool pull_compressed = options.base.use_compressed_transpose;
-  const uint64_t* row_bytes_off = nullptr;
-  const uint8_t* row_bytes = nullptr;
-  if (pull_compressed) {
-    const CompressedCsr& compressed = graph.BuildCompressedTranspose();
-    row_bytes_off = compressed.byte_offsets().data();
-    row_bytes = compressed.bytes().data();
-  }
 
   // Fixed row partition shared by every pass and reduce of the solve
   // (edge-balanced by default, so the hub blocks of a power-law graph
@@ -169,26 +159,19 @@ Result<DeltaPageRankResult> ComputeDeltaPageRank(
   // and one fold over the whole row.
   auto update_row = [&](size_t i, size_t lo, double base_mass,
                         const double* own) {
+    const std::span<const NodeId> in =
+        graph.InNeighbors(static_cast<NodeId>(i));
+    const NodeId* first = in.data();
+    const NodeId* last = first + in.size();
     double pull;
-    if (pull_compressed) {
-      pull = sweep_funcs.compressed_row_pull(
-          row_bytes + row_bytes_off[i], row_bytes + row_bytes_off[i + 1],
-          static_cast<NodeId>(lo), static_cast<NodeId>(i), out_share.data(),
-          own);
+    if (own == out_share.data()) {
+      pull = sweep_funcs.row_pull(first, in.size(), own);
     } else {
-      const std::span<const NodeId> in =
-          graph.InNeighbors(static_cast<NodeId>(i));
-      const NodeId* first = in.data();
-      const NodeId* last = first + in.size();
-      if (own == out_share.data()) {
-        pull = sweep_funcs.row_pull(first, in.size(), own);
-      } else {
-        const NodeId* own_begin = std::lower_bound(first, last, lo);
-        const NodeId* own_end = std::lower_bound(own_begin, last, i);
-        pull = sweep_funcs.row_pull(first, own_begin - first, out_share.data());
-        pull += sweep_funcs.row_pull(own_begin, own_end - own_begin, own);
-        pull += sweep_funcs.row_pull(own_end, last - own_end, out_share.data());
-      }
+      const NodeId* own_begin = std::lower_bound(first, last, lo);
+      const NodeId* own_end = std::lower_bound(own_begin, last, i);
+      pull = sweep_funcs.row_pull(first, own_begin - first, out_share.data());
+      pull += sweep_funcs.row_pull(own_begin, own_end - own_begin, own);
+      pull += sweep_funcs.row_pull(own_end, last - own_end, out_share.data());
     }
     const double val = base_mass * v[i] + alpha * pull;
     const double delta = std::fabs(val - x[i]);

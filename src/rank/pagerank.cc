@@ -44,10 +44,6 @@ const char* KernelVariantName(KernelVariant variant) {
       return "scalar";
     case KernelVariant::kSimd:
       return "simd";
-    case KernelVariant::kAvx2:
-      return "avx2";
-    case KernelVariant::kAvx512:
-      return "avx512";
   }
   return "scalar";
 }
@@ -57,10 +53,6 @@ bool ParseKernelVariant(const std::string& text, KernelVariant* out) {
     *out = KernelVariant::kScalar;
   } else if (text == "simd") {
     *out = KernelVariant::kSimd;
-  } else if (text == "avx2") {
-    *out = KernelVariant::kAvx2;
-  } else if (text == "avx512") {
-    *out = KernelVariant::kAvx512;
   } else {
     return false;
   }

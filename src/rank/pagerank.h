@@ -66,19 +66,16 @@ bool ParseSweepPartition(const std::string& text, SweepPartition* out);
 
 /// Instruction-set variant of the fused pull sweep (see
 /// rank/pagerank_kernel.h and DESIGN.md §5g). Scalar is the default
-/// and the oracle; AVX2 reproduces its 4-accumulator fold bit-for-bit
-/// (lane j == accumulator j); AVX-512 folds 8 lanes and carries a
-/// test-enforced <= 1e-14 per-element tolerance. Requests the build or
-/// hardware cannot honor clamp DOWN (never up), so every option value
-/// is safe on every machine.
+/// and the oracle; kSimd runs the AVX-512 fold, which folds 8 lanes
+/// and carries a test-enforced <= 1e-14 per-element tolerance. Where
+/// the build or hardware lacks AVX-512, kSimd clamps DOWN to scalar,
+/// so both values are safe on every machine.
 enum class KernelVariant {
   kScalar,  // portable reference fold
-  kSimd,    // best available: runtime CPUID pick of avx512 > avx2 > scalar
-  kAvx2,
-  kAvx512,
+  kSimd,    // AVX-512 if the build and CPU have it, else scalar
 };
 
-/// "scalar" | "simd" | "avx2" | "avx512".
+/// "scalar" | "simd".
 const char* KernelVariantName(KernelVariant variant);
 
 /// Parses the names above; false on unknown input.
@@ -128,17 +125,9 @@ struct PageRankOptions {
   SweepPartition partition = SweepPartition::kEdgeBalanced;
 
   /// Pull-sweep instruction set (see KernelVariant). Scores do not
-  /// depend on the partition or thread count under ANY variant; they
-  /// are bit-identical across variants except kAvx512 (tolerance
-  /// documented above).
+  /// depend on the thread count under either variant; kSimd matches
+  /// the scalar oracle within the tolerance documented above.
   KernelVariant kernel = KernelVariant::kScalar;
-
-  /// Pull from the delta-gap compressed transpose (decode-on-the-fly;
-  /// graph/compressed_csr.h) instead of the raw transpose arrays.
-  /// Bit-identical scores for every variant — the decoder feeds the
-  /// same fold — trading decode ALU for the memory traffic the sweep
-  /// is bound on. The encode is cached on the graph like the transpose.
-  bool use_compressed_transpose = false;
 };
 
 struct PageRankResult {

@@ -33,73 +33,42 @@ struct ScalarAcc {
   double Fold() const { return (p0 + p1) + (p2 + p3); }
 };
 
+// The oracle SweepFuncs: the shared row loop instantiated with the
+// scalar fold. This TU is compiled without any -m ISA flags, so the row
+// update keeps the plain mul-then-add rounding; an ISA TU would compile
+// it under -mavx512f, whose implied FMA lets the compiler contract
+// `base_weight * v[i] + alpha * pull` into one rounding and silently
+// move the oracle. The QRANK_SCALAR_TU_ONLY marker makes that a
+// build-breaking lint rule: qrank_lint cross-checks this TU's compile
+// command for -mavx*/-ffast-math.
+QRANK_SCALAR_TU_ONLY SweepFuncs ScalarSweepFuncs() {
+  return MakeSweepFuncs<ScalarAcc>();
+}
+
 }  // namespace
 
-// This TU is compiled without any -m ISA flags, so the row update here
-// keeps the plain mul-then-add rounding; every variant's
-// compressed_block points at this one definition (sweep_ops.h). The
-// QRANK_SCALAR_TU_ONLY marker turns that comment into a build-breaking
-// lint rule: qrank_lint cross-checks this TU's compile command for
-// -mavx*/-ffast-math.
-QRANK_SCALAR_TU_ONLY QRANK_HOT std::array<double, 2>
-ScalarCompressedBlockSweep(const SweepArgs& args, size_t lo, size_t hi) {
-  return BlockSweep<ScalarAcc, /*kCompressed=*/true>(args, lo, hi);
-}
-
-// Each segment is its own oracle fold, summed in segment order — the
-// raw path's three row_pull calls, term for term; a Jacobi step is its
-// one call over the whole row.
-QRANK_SCALAR_TU_ONLY QRANK_HOT double ScalarCompressedSplitRowPull(
-    const uint8_t* begin, const uint8_t* end, NodeId lo, NodeId mid,
-    const double* out_share, const double* own) {
-  CompressedRowCursor c{begin, end};
-  if (own == out_share) return CompressedFoldBelow(&c, kRowEnd, out_share);
-  double pull = CompressedFoldBelow(&c, lo, out_share);
-  pull += CompressedFoldBelow(&c, mid, own);
-  pull += CompressedFoldBelow(&c, kRowEnd, out_share);
-  return pull;
-}
-
-// Defined in the per-ISA translation units; declared here (not in a
-// shared header) so no other TU can reach them without going through
+// Defined in the AVX-512 translation unit; declared here (not in a
+// shared header) so no other TU can reach it without going through
 // ResolveSweepFuncs.
-#if defined(QRANK_HAVE_AVX2)
-SweepFuncs Avx2SweepFuncs();
-#endif
 #if defined(QRANK_HAVE_AVX512)
 SweepFuncs Avx512SweepFuncs();
 #endif
 
 SweepFuncs ResolveSweepFuncs(SimdLevel requested) {
-  SimdLevel level = DetectSimdLevel();
-  if (requested < level) level = requested;
 #if defined(QRANK_HAVE_AVX512)
-  if (level == SimdLevel::kAvx512) return Avx512SweepFuncs();
+  if (requested == SimdLevel::kAvx512 &&
+      DetectSimdLevel() == SimdLevel::kAvx512) {
+    return Avx512SweepFuncs();
+  }
+#else
+  (void)requested;
 #endif
-#if defined(QRANK_HAVE_AVX2)
-  if (level >= SimdLevel::kAvx2) return Avx2SweepFuncs();
-#endif
-  return MakeSweepFuncs<ScalarAcc>(SimdLevel::kScalar);
+  return ScalarSweepFuncs();
 }
 
 SimdLevel KernelVariantLevel(KernelVariant variant) {
-  SimdLevel requested = SimdLevel::kScalar;
-  switch (variant) {
-    case KernelVariant::kScalar:
-      requested = SimdLevel::kScalar;
-      break;
-    case KernelVariant::kAvx2:
-      requested = SimdLevel::kAvx2;
-      break;
-    case KernelVariant::kAvx512:
-      requested = SimdLevel::kAvx512;
-      break;
-    case KernelVariant::kSimd:
-      requested = SimdLevel::kAvx512;  // best available
-      break;
-  }
-  const SimdLevel detected = DetectSimdLevel();
-  return requested < detected ? requested : detected;
+  return variant == KernelVariant::kSimd ? DetectSimdLevel()
+                                         : SimdLevel::kScalar;
 }
 
 std::vector<size_t> PullSweepBoundaries(const CsrGraph& graph,
@@ -141,15 +110,6 @@ PageRankKernel::PageRankKernel(const CsrGraph& graph,
     requested = SimdLevel::kScalar;
   }
   funcs_ = ResolveSweepFuncs(requested);
-  compressed_ = options.use_compressed_transpose;
-  if (compressed_) {
-    const CompressedCsr& c = graph.BuildCompressedTranspose();
-    byte_offsets_ = c.byte_offsets().data();
-    bytes_ = c.bytes().data();
-    block_fn_ = funcs_.compressed_block;
-  } else {
-    block_fn_ = funcs_.raw_block;
-  }
 
   inv_outdeg_.assign(n_, 0.0);
   for (NodeId u = 0; u < n_; ++u) {
@@ -184,8 +144,6 @@ QRANK_HOT double PageRankKernel::Sweep() {
   SweepArgs args;
   args.in_off = in_offsets_.data();
   args.in_src = in_sources_.data();
-  args.byte_off = byte_offsets_;
-  args.bytes = bytes_;
   args.x = x_.data();
   args.v = v_.data();
   args.out_share = out_share_.data();
@@ -195,7 +153,7 @@ QRANK_HOT double PageRankKernel::Sweep() {
   args.alpha = alpha_;
   args.base_weight = 1.0 - alpha_ + alpha_ * dangling_;
 
-  const BlockSweepFn block = block_fn_;
+  const BlockSweepFn block = funcs_.block_sweep;
   const std::array<double, 2> sums = ParallelReducePartition<2>(
       bounds_,
       [&args, block](size_t lo, size_t hi) { return block(args, lo, hi); },

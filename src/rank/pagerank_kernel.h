@@ -62,12 +62,6 @@ class PageRankKernel {
   std::vector<double> TakeScores() { return std::move(x_); }
   const std::vector<size_t>& boundaries() const { return bounds_; }
 
-  /// The instruction set the sweeps actually run (the request from
-  /// options.kernel clamped to hardware/build support) and whether they
-  /// pull from the compressed transpose. For bench/test reporting.
-  SimdLevel simd_level() const { return funcs_.level; }
-  bool compressed() const { return compressed_; }
-
  private:
   const NodeId n_;
   const double alpha_;
@@ -77,11 +71,7 @@ class PageRankKernel {
 
   std::span<const size_t> in_offsets_;
   std::span<const NodeId> in_sources_;
-  SweepFuncs funcs_;        // resolved ISA variant (see sweep_ops.h)
-  bool compressed_ = false;
-  BlockSweepFn block_fn_ = nullptr;    // funcs_.raw_block or .compressed_block
-  const uint64_t* byte_offsets_ = nullptr;  // compressed stream, if enabled
-  const uint8_t* bytes_ = nullptr;
+  SweepFuncs funcs_;  // resolved ISA variant (see sweep_ops.h)
   std::vector<double> inv_outdeg_;  // 0 for dangling rows
 
   std::vector<double> x_;

@@ -13,8 +13,8 @@
 // and partition (DESIGN.md §5g). The -mavx512f this TU builds under
 // also implies FMA, so the row update here may contract to a fused
 // multiply-add — another rounding difference the tolerance absorbs
-// (and the reason the compressed block sweep is NOT instantiated
-// here; see sweep_ops.h).
+// (and the reason the scalar oracle is never instantiated here; see
+// ScalarSweepFuncs in pagerank_kernel.cc).
 
 #if defined(QRANK_HAVE_AVX512)
 
@@ -74,9 +74,7 @@ struct Avx512Acc {
 
 }  // namespace
 
-SweepFuncs Avx512SweepFuncs() {
-  return MakeSweepFuncs<Avx512Acc>(SimdLevel::kAvx512);
-}
+SweepFuncs Avx512SweepFuncs() { return MakeSweepFuncs<Avx512Acc>(); }
 
 }  // namespace rank_internal
 }  // namespace qrank

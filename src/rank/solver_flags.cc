@@ -12,12 +12,9 @@ Status ApplySolverFlags(FlagParser& flags, PageRankOptions* options) {
   const std::string kernel =
       flags.GetString("kernel", KernelVariantName(options->kernel));
   if (!ParseKernelVariant(kernel, &options->kernel)) {
-    return Status::InvalidArgument(
-        "--kernel must be scalar, simd, avx2 or avx512, got '" + kernel +
-        "'");
+    return Status::InvalidArgument("--kernel must be scalar or simd, got '" +
+                                   kernel + "'");
   }
-  options->use_compressed_transpose =
-      flags.GetBool("compressed", options->use_compressed_transpose);
   return flags.status();
 }
 

@@ -1,14 +1,12 @@
 // Shared command-line surface for the solver knobs.
 //
 // Every binary that runs a PageRank solve (examples, tools, benches)
-// ends up wanting the same four flags; before this header each one
+// ends up wanting the same three flags; before this header each one
 // hand-rolled a different subset with slightly different spellings.
 // Parse them here instead:
 //
 //   --partition=node|edge                row partition of the sweep
-//   --kernel=scalar|simd|avx2|avx512     pull-sweep instruction set
-//   --compressed[=BOOL]                  pull from the delta-gap
-//                                        compressed transpose
+//   --kernel=scalar|simd                 pull-sweep instruction set
 //   --order=identity|degree|bfs          cache-aware node relabeling
 //
 // --order is deliberately a separate call: it is only safe in binaries
@@ -29,12 +27,11 @@ namespace qrank {
 
 /// Usage-string fragments matching the two helpers below.
 inline constexpr const char kSolverFlagsUsage[] =
-    "[--partition=node|edge] [--kernel=scalar|simd|avx2|avx512] "
-    "[--compressed=BOOL]";
+    "[--partition=node|edge] [--kernel=scalar|simd]";
 inline constexpr const char kOrderFlagUsage[] =
     "[--order=identity|degree|bfs]";
 
-/// Reads --partition/--kernel/--compressed into `options`, leaving
+/// Reads --partition/--kernel into `options`, leaving
 /// absent flags at the caller's defaults. InvalidArgument (naming the
 /// flag and the accepted values) on an unknown spelling.
 Status ApplySolverFlags(FlagParser& flags, PageRankOptions* options);

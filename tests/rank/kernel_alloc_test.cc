@@ -68,9 +68,8 @@ size_t AllocationsDuring(const std::function<void()>& fn) {
   return g_allocations.load(std::memory_order_relaxed) - before;
 }
 
-// Constructs a kernel under `o` (construction may allocate and, for
-// the compressed path, builds the cached transpose encodings), then
-// proves 25 sweeps allocate nothing.
+// Constructs a kernel under `o` (construction may allocate and builds
+// the cached transpose), then proves 25 sweeps allocate nothing.
 void ExpectSweepsAllocationFree(const PageRankOptions& o) {
   const CsrGraph g = TestGraph();
   const double uniform = 1.0 / static_cast<double>(g.num_nodes());
@@ -90,25 +89,10 @@ TEST(KernelAllocTest, SweepAllocatesNothing) {
 }
 
 TEST(KernelAllocTest, SimdSweepAllocatesNothing) {
-  // Whatever level kSimd resolves to on this host (AVX-512, AVX2, or
+  // Whatever level kSimd resolves to on this host (AVX-512 or the
   // scalar fallback), the lane-parallel sweep owns all its scratch.
   PageRankOptions o = UnconvergedOptions(50);
   o.kernel = KernelVariant::kSimd;
-  ExpectSweepsAllocationFree(o);
-}
-
-TEST(KernelAllocTest, CompressedSweepAllocatesNothing) {
-  // Decode-on-the-fly must stream straight out of the varint bytes —
-  // no per-row or per-block decode buffers on the heap.
-  PageRankOptions o = UnconvergedOptions(50);
-  o.use_compressed_transpose = true;
-  ExpectSweepsAllocationFree(o);
-}
-
-TEST(KernelAllocTest, SimdCompressedSweepAllocatesNothing) {
-  PageRankOptions o = UnconvergedOptions(50);
-  o.kernel = KernelVariant::kSimd;
-  o.use_compressed_transpose = true;
   ExpectSweepsAllocationFree(o);
 }
 

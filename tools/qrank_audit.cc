@@ -5,11 +5,8 @@
 //   qrank_audit [flags] <graph-file>...
 //
 // Each input file may be a text edge list ("qrank-edges v1"), a binary
-// snapshot ("QRKG" magic), a compressed matrix ("QRKC" magic) or a
-// score bundle ("QRKB" magic); the format is sniffed from the first
-// bytes. Every graph gets the graph.* family (including the
-// compressed-transpose decode check when --storage is on); QRKC files
-// run the hardened reader end to end.
+// snapshot ("QRKG" magic) or a score bundle ("QRKB" magic); the format
+// is sniffed from the first bytes. Every graph gets the graph.* family.
 // With --deltas (default) and two or more graphs, each consecutive pair
 // is additionally treated as a snapshot step: the delta between them
 // is derived and the delta.* family (including the dirty-frontier cover
@@ -19,9 +16,6 @@
 //
 // Output, one row per validator executed:
 //   <artifact> <TAB> <validator> <TAB> PASS|FAIL <TAB> <severity> <TAB> <detail>
-// With --storage (default true, needs --transpose) each graph also
-// gets a comment row with measured in-neighbor storage:
-//   # storage: <artifact> edges=<n> raw_bpe=<x> compressed_bpe=<x> ratio=<x>
 // followed by a trailing "# summary: ran=<n> passed=<n> failed=<n>".
 //
 // Exit status: 0 = every validator passed, 1 = at least one failure,
@@ -29,9 +23,6 @@
 //
 // Flags:
 //   --transpose=<bool>   build + audit the cached transpose (default true)
-//   --storage=<bool>     build the compressed transpose, audit it and
-//                        report bytes-per-edge (default true; needs
-//                        --transpose)
 //   --deltas=<bool>      audit consecutive graph pairs as deltas (default true)
 //   --scores=<path>      text file of scores, one per line
 //   --expected-mass=<x>  L1 mass the scores should carry (default 1.0)
@@ -45,7 +36,6 @@
 #include "audit/audit.h"
 #include "common/flags.h"
 #include "common/status.h"
-#include "graph/analysis.h"
 #include "graph/csr_graph.h"
 #include "graph/graph_delta.h"
 #include "graph/graph_io.h"
@@ -54,8 +44,8 @@ namespace qrank {
 namespace {
 
 void PrintUsage(std::ostream& os) {
-  os << "usage: qrank_audit [--transpose=BOOL] [--storage=BOOL]\n"
-        "                   [--deltas=BOOL] [--scores=FILE]\n"
+  os << "usage: qrank_audit [--transpose=BOOL] [--deltas=BOOL]\n"
+        "                   [--scores=FILE]\n"
         "                   [--expected-mass=X] [--mass-tolerance=X]\n"
         "                   <graph-or-bundle-file>...\n"
         "Audits graph/delta/rank/bundle invariants; TSV verdict on stdout.\n";
@@ -77,15 +67,14 @@ Result<CsrGraph> LoadGraph(const std::string& path) {
   return CsrGraph::FromEdgeList(edges.value());
 }
 
-// True when the file starts with "QRK<kind>" for the given kind byte
-// ('B' = score bundle, 'C' = compressed matrix).
-bool SniffMagic(const std::string& path, char kind) {
+// True when the file starts with the score-bundle magic "QRKB".
+bool IsScoreBundle(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return false;
   char magic[4] = {0, 0, 0, 0};
   in.read(magic, 4);
   return in.gcount() == 4 && magic[0] == 'Q' && magic[1] == 'R' &&
-         magic[2] == 'K' && magic[3] == kind;
+         magic[2] == 'K' && magic[3] == 'B';
 }
 
 Result<std::vector<uint8_t>> LoadBytes(const std::string& path) {
@@ -158,7 +147,6 @@ void EmitReport(const std::string& artifact, const AuditReport& report,
 int Run(int argc, const char* const* argv) {
   FlagParser flags(argc, argv);
   const bool do_transpose = flags.GetBool("transpose", true);
-  const bool do_storage = flags.GetBool("storage", true);
   const bool do_deltas = flags.GetBool("deltas", true);
   const std::string scores_path = flags.GetString("scores", "");
   const double expected_mass = flags.GetDouble("expected-mass", 1.0);
@@ -185,24 +173,7 @@ int Run(int argc, const char* const* argv) {
   std::vector<std::string> graph_paths;  // bundle files skip delta pairing
   graphs.reserve(paths.size());
   for (const std::string& path : paths) {
-    if (SniffMagic(path, 'C')) {
-      // Standalone compressed matrix: the hardened reader IS the audit
-      // (size-vs-header, checksum, full varint-stream validation).
-      Result<CompressedCsr> matrix = ReadCompressedCsr(path);
-      ++tally.ran;
-      if (!matrix.ok()) {
-        ++tally.failed;
-        std::cout << path << "\tio.compressed_csr\tFAIL\terror\t"
-                  << matrix.status().message() << '\n';
-      } else {
-        std::cout << path << "\tio.compressed_csr\tPASS\terror\t-\n";
-        const CompressedCsr& m = matrix.value();
-        std::cout << "# storage: " << path << " edges=" << m.num_values()
-                  << " compressed_bpe=" << m.BytesPerEdge() << '\n';
-      }
-      continue;
-    }
-    if (SniffMagic(path, 'B')) {
+    if (IsScoreBundle(path)) {
       Result<std::vector<uint8_t>> bytes = LoadBytes(path);
       if (!bytes.ok()) {
         std::cerr << "qrank_audit: " << path << ": "
@@ -224,18 +195,7 @@ int Run(int argc, const char* const* argv) {
     graphs.push_back(std::move(graph).value());
     graph_paths.push_back(path);
     if (do_transpose) graphs.back().BuildTranspose();
-    // Building the compressed transpose before the audit makes
-    // graph.compressed_transpose applicable, so the decode check runs.
-    if (do_transpose && do_storage) graphs.back().BuildCompressedTranspose();
     EmitReport(path, AuditGraph(graphs.back()), &tally);
-    if (do_transpose && do_storage) {
-      const TransposeStorageStats storage =
-          ComputeTransposeStorage(graphs.back());
-      std::cout << "# storage: " << path << " edges=" << storage.num_edges
-                << " raw_bpe=" << storage.raw_bytes_per_edge
-                << " compressed_bpe=" << storage.compressed_bytes_per_edge
-                << " ratio=" << storage.compression_ratio << '\n';
-    }
   }
 
   if (do_deltas) {

@@ -8,7 +8,6 @@
 //                        [--seed=N] [--out=PATH] [--serial]
 //                        [--export-threads=N]
 //                        [--partition=node|edge] [--kernel=NAME]
-//                        [--compressed=BOOL]
 //   qrank_ingest inspect [same flags]
 //
 // The solver knobs are the shared set from rank/solver_flags.h and
@@ -68,8 +67,7 @@ void PrintUsage(std::ostream& os) {
         "                            [--out=PATH] [--serial]\n"
         "                            [--export-threads=N]\n"
         "                            [--partition=node|edge]\n"
-        "                            [--kernel=scalar|simd|avx2|avx512]\n"
-        "                            [--compressed=BOOL]\n"
+        "                            [--kernel=scalar|simd]\n"
         "       qrank_ingest inspect [same flags]\n"
         "(no --order here: site_of derives sites from id arithmetic)\n";
 }

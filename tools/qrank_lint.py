@@ -21,7 +21,7 @@ Rules
                counting-allocator tests remain authoritative. This rule
                is the fast, always-on first line.
   scalar-tu    Functions marked QRANK_SCALAR_TU_ONLY (the bit-exactness
-               oracles, e.g. ScalarCompressedBlockSweep) may only be
+               oracles, e.g. ScalarSweepFuncs) may only be
                defined in TUs compiled without -mavx*/-march=*avx*/
                -ffast-math/-Ofast: FMA contraction or fast-math
                reassociation would silently change their rounding and

@@ -22,7 +22,7 @@
 // `shard` partitions a bundle by site into per-shard bundles plus the
 // shard map and sidecars the distributed tier (src/dist/) serves from.
 // None of the shared solver flags (rank/solver_flags.h: --order,
-// --partition, --kernel, --compressed) apply here — this tool serves
+// --partition, --kernel) apply here — this tool serves
 // precomputed score bundles and never runs a PageRank solve; the
 // binaries that do (crawl_pipeline, qrank_ingest, bench_perf_pagerank)
 // all accept that set.
