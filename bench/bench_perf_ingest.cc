@@ -10,7 +10,7 @@
 //   BM_IngestPipeline      the whole loop, stop-and-wait: per iteration
 //                          one 512-event burst is enqueued and the
 //                          timer runs until every event's generation is
-//                          published (ApplyDelta -> warm DeltaPageRank
+//                          published (ApplyDelta -> residual push
 //                          -> estimator -> bundle export -> ordered
 //                          publish), while two reader threads hammer
 //                          TopK against the same store. Counters carry
@@ -201,20 +201,26 @@ void AddStageCounters(benchmark::State& state, const IngestStats& stats) {
   }
 }
 
-// Solve attribution: warm DeltaPageRank sweeps per event-carrying
-// generation (the generation log also holds the seed's cold solve) and
-// the mean solve-stage time, so a BENCH_ingest row splits the solve into
-// sweeps x ms/sweep.
+// Solve attribution per event-carrying generation (the generation log
+// also holds the seed's cold solve): the warm solve's exact residual
+// passes (sweeps_per_gen), its residual pushes and the adjacency
+// entries it read, plus the mean solve-stage time, so a BENCH_ingest
+// row splits the solve into pushes and edge reads.
 void AddSolveCounters(benchmark::State& state, const IngestService& ingest,
                       const IngestStats& stats) {
-  double gens = 0.0, sweeps = 0.0;
+  double gens = 0.0, sweeps = 0.0, pushes = 0.0, edge_reads = 0.0;
   for (const IngestGenerationInfo& g : ingest.GenerationLog()) {
     if (g.num_events == 0) continue;
     gens += 1.0;
     sweeps += g.rank_iterations;
+    pushes += static_cast<double>(g.rank_node_updates);
+    edge_reads += static_cast<double>(g.rank_edge_reads);
   }
-  state.counters["sweeps_per_gen"] =
-      benchmark::Counter(gens > 0.0 ? sweeps / gens : 0.0);
+  const double per_gen = gens > 0.0 ? 1.0 / gens : 0.0;
+  state.counters["sweeps_per_gen"] = benchmark::Counter(sweeps * per_gen);
+  state.counters["pushes_per_gen"] = benchmark::Counter(pushes * per_gen);
+  state.counters["edges_read_per_gen"] =
+      benchmark::Counter(edge_reads * per_gen);
   state.counters["solve_ms_mean"] =
       benchmark::Counter(stats.stage_solve.mean_ms);
 }

@@ -157,7 +157,9 @@ uint32_t Coordinator::RunWave(const std::vector<uint8_t>& frame,
         const Channel& ch = channels_[c];
         scratch_.poll_fds[c] = pollfd{
             !settled && ch.in_flight() ? ch.socket.fd() : -1,
-            ch.state == State::kConnecting ? POLLOUT : POLLIN, 0};
+            static_cast<short>(ch.state == State::kConnecting ? POLLOUT
+                                                              : POLLIN),
+            0};
       }
     }
     if (unsettled == 0) break;

@@ -6,7 +6,6 @@
 #include "audit/audit.h"
 #include "common/logging.h"
 #include "core/bundle_export.h"
-#include "rank/rank_vector.h"
 #include "serve/score_bundle.h"
 
 namespace qrank {
@@ -15,8 +14,8 @@ namespace {
 
 // Compile-time audit level (src/audit/): level 1 re-checks queue
 // counter conservation per batch; level 2 additionally re-validates
-// every coalesced delta + frontier before ranking on it — the exact
-// artifacts the incremental fast path trusts blindly.
+// every coalesced delta before ranking on it — the exact artifact the
+// incremental fast path trusts blindly.
 constexpr int kAuditLevel = QRANK_AUDIT_LEVEL;
 
 double ToMillis(std::chrono::steady_clock::duration d) {
@@ -53,7 +52,7 @@ IngestService::IngestService(CsrGraph initial_graph, SnapshotStore* store,
       queue_(options_.queue),
       accumulator_(options_.batch),
       graph_(std::move(initial_graph)),
-      visit_counts_(graph_.num_nodes(), 0) {}
+      rank_(options_.rank) {}
 
 Result<std::unique_ptr<IngestService>> IngestService::Create(
     CsrGraph initial_graph, SnapshotStore* store, IngestOptions options) {
@@ -93,17 +92,16 @@ Status IngestService::Start() {
     started_ = true;
   }
   if (options_.publish_initial && graph_.num_nodes() > 0) {
-    uint32_t iterations = 0;
-    uint64_t node_updates = 0;
-    // Cold start: empty frontier = every page dirty (delta_pagerank.h).
+    // The tracker's first solve is its cold start (residual_push.h).
+    ResidualPushStats solve;
     const auto t0 = std::chrono::steady_clock::now();
-    QRANK_RETURN_NOT_OK(RecomputeScores({}, &iterations, &node_updates));
+    QRANK_RETURN_NOT_OK(RecomputeScores(GraphDelta{}, &solve));
     const double solve_ms = ToMillis(std::chrono::steady_clock::now() - t0);
     // The initial generation runs inline — the stage threads don't
     // exist yet, and callers expect Start() to return with generation 1
     // servable.
-    QRANK_RETURN_NOT_OK(RunExportJob(
-        MakeExportJob(nullptr, iterations, node_updates, 0.0, solve_ms)));
+    QRANK_RETURN_NOT_OK(
+        RunExportJob(MakeExportJob(nullptr, solve, 0.0, solve_ms)));
   }
   {
     MutexLock lock(&mu_);
@@ -205,13 +203,10 @@ Status IngestService::ProcessBatch(FlushedBatch batch) {
         << "update queue broke counter conservation: "
         << queue_audit.ToString();
   }
-  std::vector<uint8_t> dirty;
   if (!batch.delta.empty()) {
     QRANK_ASSIGN_OR_RETURN(CsrGraph next, graph_.ApplyDelta(batch.delta));
-    dirty = batch.delta.DirtyFrontier(next);
     if constexpr (kAuditLevel >= 2) {
-      AuditReport delta_audit =
-          AuditDelta(graph_, batch.delta, &next, &dirty);
+      AuditReport delta_audit = AuditDelta(graph_, batch.delta, &next);
       delta_audit.Merge(AuditIngestBatch(graph_, batch.delta,
                                          batch.num_events,
                                          batch.num_adds + batch.num_removes));
@@ -222,18 +217,9 @@ Status IngestService::ProcessBatch(FlushedBatch batch) {
     }
     graph_ = std::move(next);
   }
-
-  if (visit_counts_.size() < graph_.num_nodes()) {
-    visit_counts_.resize(graph_.num_nodes(), 0);
-  }
-  for (const auto& [page, count] : batch.visits) {
-    // Visits to pages the graph has never seen have no row to credit.
-    if (page < visit_counts_.size()) visit_counts_[page] += count;
-  }
   const auto t_apply = std::chrono::steady_clock::now();
 
-  uint32_t iterations = 0;
-  uint64_t node_updates = 0;
+  ResidualPushStats solve;
   if (graph_.num_nodes() > 0) {
     const bool reuse =
         batch.delta.empty() && prev_converged_ && !observations_.empty();
@@ -246,14 +232,13 @@ Status IngestService::ProcessBatch(FlushedBatch batch) {
         observations_.pop_front();
       }
     } else {
-      QRANK_RETURN_NOT_OK(RecomputeScores(dirty, &iterations, &node_updates));
+      QRANK_RETURN_NOT_OK(RecomputeScores(batch.delta, &solve));
     }
   }
   const auto t_solve = std::chrono::steady_clock::now();
 
-  ExportJob job =
-      MakeExportJob(&batch, iterations, node_updates,
-                    ToMillis(t_apply - t_start), ToMillis(t_solve - t_apply));
+  ExportJob job = MakeExportJob(&batch, solve, ToMillis(t_apply - t_start),
+                                ToMillis(t_solve - t_apply));
   if (!options_.pipelined) return RunExportJob(std::move(job));
   if (!pipe_.Push(std::move(job))) {
     // Only a Break can refuse the push (the consumer is the sole
@@ -264,15 +249,12 @@ Status IngestService::ProcessBatch(FlushedBatch batch) {
   return Status::OK();
 }
 
-IngestService::ExportJob IngestService::MakeExportJob(FlushedBatch* batch,
-                                                      uint32_t iterations,
-                                                      uint64_t node_updates,
-                                                      double apply_ms,
-                                                      double solve_ms) {
+IngestService::ExportJob IngestService::MakeExportJob(
+    FlushedBatch* batch, const ResidualPushStats& solve, double apply_ms,
+    double solve_ms) {
   ExportJob job;
   job.num_pages = graph_.num_nodes();
-  job.iterations = iterations;
-  job.node_updates = node_updates;
+  job.solve = solve;
   job.window.assign(observations_.begin(), observations_.end());
   job.apply_ms = apply_ms;
   job.solve_ms = solve_ms;
@@ -293,26 +275,12 @@ IngestService::ExportJob IngestService::MakeExportJob(FlushedBatch* batch,
   return job;
 }
 
-Status IngestService::RecomputeScores(
-    const std::vector<uint8_t>& dirty_frontier, uint32_t* iterations,
-    uint64_t* node_updates) {
-  const NodeId n = graph_.num_nodes();
-  DeltaPageRankOptions rank = options_.rank;
-  if (!prev_probability_.empty()) {
-    rank.base.initial_scores = ProjectToSize(prev_probability_, n);
-  }
-  QRANK_ASSIGN_OR_RETURN(DeltaPageRankResult result,
-                         ComputeDeltaPageRank(graph_, dirty_frontier, rank));
-  *iterations = result.base.iterations;
-  *node_updates = result.node_updates;
-  prev_converged_ = result.base.converged;
-  prev_probability_ = result.base.scores;
-  if (rank.base.scale == ScaleConvention::kTotalMassN && n > 0) {
-    const double inv_n = 1.0 / static_cast<double>(n);
-    for (double& s : prev_probability_) s *= inv_n;
-  }
-  observations_.push_back(
-      std::make_shared<const std::vector<double>>(std::move(result.base.scores)));
+Status IngestService::RecomputeScores(const GraphDelta& delta,
+                                      ResidualPushStats* solve) {
+  auto scores = std::make_shared<std::vector<double>>();
+  QRANK_ASSIGN_OR_RETURN(*solve, rank_.Solve(graph_, delta, scores.get()));
+  prev_converged_ = solve->converged;
+  observations_.push_back(std::move(scores));
   if (observations_.size() > options_.observation_window) {
     observations_.pop_front();
   }
@@ -382,9 +350,12 @@ Status IngestService::RunExportJob(ExportJob job) {
   IngestGenerationInfo info;
   info.generation = generation;
   info.num_pages = n;
-  info.rank_iterations = job.iterations;
-  info.rank_node_updates = job.node_updates;
-  counters_.rank_node_updates += job.node_updates;
+  info.rank_iterations =
+      job.solve.residual_passes + job.solve.cold_iterations;
+  info.rank_node_updates = job.solve.pushes;
+  info.rank_edge_reads = job.solve.edge_reads;
+  counters_.rank_node_updates += job.solve.pushes;
+  counters_.rank_edge_reads += job.solve.edge_reads;
   if (job.has_batch) {
     ++counters_.batches;
     counters_.events_processed += job.num_events;

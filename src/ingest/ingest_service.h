@@ -1,14 +1,13 @@
 // IngestService: the always-on freshness loop from edge arrival to
 // servable TopK.
 //
-// The paper's estimator exists because rankings lag reality; PR 2 built
-// the incremental machinery (GraphDelta + warm-started DeltaPageRank)
-// and PR 5 the hot-swap serving store, but until now they only met in
-// offline examples. IngestService wires them into one continuously
-// running pipeline:
+// The paper's estimator exists because rankings lag reality. The
+// incremental machinery (GraphDelta + CSR patching, incremental
+// PageRank) and the hot-swap serving store meet here in one
+// continuously running pipeline:
 //
 //   producers --> UpdateQueue --> BatchAccumulator --(flush)-->
-//     ApplyDelta --> DeltaPageRank (warm start + dirty frontier) -->
+//     ApplyDelta --> ResidualPushTracker (patch r, push, certify) -->
 //     quality-estimator update --> score-bundle export -->
 //     SnapshotStore::PublishOrdered
 //
@@ -39,11 +38,13 @@
 // Equation-1 estimator over their common-page prefix (the id prefix of
 // the oldest observation — ingest only grows the page set, mirroring
 // SnapshotSeries' common-set convention). Pages younger than the window
-// get Q̂ = PR until history accumulates. Scores inherit PR 2's
-// exactness contract: DeltaPageRank converges with the same full-sweep
-// stopping rule as a from-scratch solve, so the streaming scores match
-// an offline rebuild of the same event stream within the documented
-// drift budget (see DESIGN.md §5f and the ingest oracle test).
+// get Q̂ = PR until history accumulates. Scores carry the engines'
+// exactness contract: the cold start is a from-scratch DeltaPageRank
+// solve, and every warm solve is a residual push whose answer an exact
+// residual pass certifies to within damping * tolerance / (1 - damping)
+// of the fixed point, so the streaming scores match an offline rebuild
+// of the same event stream within the documented drift budget (see
+// DESIGN.md §5f and the ingest oracle test).
 //
 // Thread model: producers call Enqueue from any thread; Stats(),
 // GenerationLog() and WaitServable() are safe from any thread; the
@@ -78,17 +79,21 @@
 #include "ingest/stage_pipe.h"
 #include "ingest/update_queue.h"
 #include "rank/delta_pagerank.h"
+#include "rank/residual_push.h"
 #include "serve/snapshot_store.h"
 
 namespace qrank {
 
-/// DeltaPageRank defaults for serving: the paper's Section 8 mass-n
-/// convention (what the bundle pipeline elsewhere uses).
+/// Rank defaults for serving: the paper's Section 8 mass-n convention
+/// (what the bundle pipeline elsewhere uses). The cold start runs
+/// DeltaPageRank under them; warm solves are ResidualPushTracker's.
 DeltaPageRankOptions DefaultIngestRankOptions();
 
 struct IngestOptions {
   UpdateQueueOptions queue;
   BatchPolicy batch;
+  /// The cold start's engine options; `rank.base` also drives every
+  /// warm residual-push solve (residual_push.h).
   DeltaPageRankOptions rank = DefaultIngestRankOptions();
   QualityEstimatorOptions estimator;
 
@@ -140,8 +145,12 @@ struct IngestGenerationInfo {
   uint64_t delta_added = 0;     // net structural change after coalescing
   uint64_t delta_removed = 0;
   NodeId num_pages = 0;
+  /// Solver work: O(m) passes over the graph (exact residual passes,
+  /// plus the engine's sweeps on the cold start), residual pushes, and
+  /// adjacency entries read (ResidualPushStats::edge_reads).
   uint32_t rank_iterations = 0;
   uint64_t rank_node_updates = 0;
+  uint64_t rank_edge_reads = 0;
   /// Worst update-to-servable latency inside this batch.
   double max_update_to_servable_ms = 0.0;
 };
@@ -165,7 +174,8 @@ struct IngestStats {
   uint64_t edge_removes = 0;
   uint64_t visits = 0;
   uint64_t delta_edges_applied = 0;  // net changes after coalescing
-  uint64_t rank_node_updates = 0;
+  uint64_t rank_node_updates = 0;  // residual pushes
+  uint64_t rank_edge_reads = 0;
   uint64_t servable_sequence = 0;  // every event <= this is servable
   /// Update-to-servable latency distribution over all events so far.
   uint64_t latency_count = 0;
@@ -176,8 +186,8 @@ struct IngestStats {
   double latency_mean_ms = 0.0;
   /// Per-stage breakdown of each generation's wall time: where an
   /// update spends its life between flush and servable.
-  IngestStageStats stage_apply;     // audit + ApplyDelta + visit credit
-  IngestStageStats stage_solve;     // warm DeltaPageRank + window append
+  IngestStageStats stage_apply;     // audit + ApplyDelta
+  IngestStageStats stage_solve;     // residual push + window append
   IngestStageStats stage_estimate;  // Eq-1 estimator over the window
   IngestStageStats stage_export;    // writer build + serialize + revalidate
   IngestStageStats stage_publish;   // PublishOrdered + accounting
@@ -254,8 +264,7 @@ class IngestService {
   struct ExportJob {
     uint64_t sequence = 0;  // publish watermark (batch last_sequence)
     NodeId num_pages = 0;
-    uint32_t iterations = 0;
-    uint64_t node_updates = 0;
+    ResidualPushStats solve;
     std::vector<SharedObservation> window;
     bool has_batch = false;  // false for the Start()-time initial publish
     uint64_t first_sequence = 0;
@@ -282,14 +291,14 @@ class IngestService {
   Status ProcessBatch(FlushedBatch batch) QRANK_EXCLUDES(mu_);
   /// Snapshot of the post-solve state as an export job (consumer thread
   /// only; `batch` may be null for the initial publish and is consumed).
-  ExportJob MakeExportJob(FlushedBatch* batch, uint32_t iterations,
-                          uint64_t node_updates, double apply_ms,
-                          double solve_ms);
+  ExportJob MakeExportJob(FlushedBatch* batch, const ResidualPushStats& solve,
+                          double apply_ms, double solve_ms);
   /// Export half of one generation: estimate -> export -> publish ->
   /// latency + stage accounting.
   Status RunExportJob(ExportJob job) QRANK_EXCLUDES(mu_);
-  Status RecomputeScores(const std::vector<uint8_t>& dirty_frontier,
-                         uint32_t* iterations, uint64_t* node_updates);
+  /// Brings the tracker to graph_ (the first call is its cold start) and
+  /// appends the scores to the observation window.
+  Status RecomputeScores(const GraphDelta& delta, ResidualPushStats* solve);
   /// Stage-thread epilogue: record the first error, and let the LAST
   /// stage to exit clear running_ (publishes from a draining exporter
   /// must finish before WaitServable callers see the service stop).
@@ -305,10 +314,9 @@ class IngestService {
   // holds immutable vectors behind shared_ptr so export jobs snapshot
   // it without copying scores.
   CsrGraph graph_;
-  std::vector<double> prev_probability_;        // warm-start iterate
+  ResidualPushTracker rank_;
   bool prev_converged_ = false;
   std::deque<SharedObservation> observations_;  // export-scale window
-  std::vector<uint64_t> visit_counts_;
 
   // The solve -> export handoff (pipelined mode). Capacity 1: one job
   // queued while the exporter works on the previous one, so at most two

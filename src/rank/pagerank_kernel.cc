@@ -1,5 +1,6 @@
 #include "rank/pagerank_kernel.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -74,18 +75,46 @@ SimdLevel KernelVariantLevel(KernelVariant variant) {
 std::vector<size_t> PullSweepBoundaries(const CsrGraph& graph,
                                         SweepPartition partition,
                                         size_t grain) {
+  std::vector<size_t> bounds;
+  PullSweepBoundaries(graph, partition, grain, &bounds);
+  return bounds;
+}
+
+void PullSweepBoundaries(const CsrGraph& graph, SweepPartition partition,
+                         size_t grain, std::vector<size_t>* bounds) {
   const size_t n = graph.num_nodes();
   if (grain == 0) grain = 1;
   if (partition == SweepPartition::kNodeBalanced) {
-    return UniformBoundaries(n, grain);
+    const size_t blocks = NumBlocks(n, grain);
+    bounds->resize(blocks + 1);
+    for (size_t b = 0; b < blocks; ++b) (*bounds)[b] = b * grain;
+    (*bounds)[blocks] = n;
+    return;
   }
   // Row i costs one gather per in-edge plus constant row work: weight
-  // in_degree(i) + 1, prefix w[i] = in_offsets[i] + i. Same block count
-  // as the uniform partition, so only the boundaries move.
+  // in_degree(i) + 1, prefix w(i) = in_offsets[i] + i. Same block count
+  // as the uniform partition, so only the boundaries move. Each
+  // boundary is the first i with w(i) >= its share of the total — the
+  // WeightBalancedBoundaries rule, searched over w directly.
   const std::span<const size_t> in_off = graph.in_offsets();
-  std::vector<size_t> prefix(n + 1);
-  for (size_t i = 0; i <= n; ++i) prefix[i] = in_off[i] + i;
-  return WeightBalancedBoundaries(prefix, NumBlocks(n, grain));
+  const size_t blocks = std::max<size_t>(1, NumBlocks(n, grain));
+  const size_t total = in_off[n] + n;
+  bounds->assign(blocks + 1, n);
+  (*bounds)[0] = 0;
+  for (size_t b = 1; b < blocks; ++b) {
+    const size_t target = (b * total + blocks - 1) / blocks;
+    size_t lo = 0;
+    size_t hi = n + 1;
+    while (lo < hi) {
+      const size_t mid = lo + (hi - lo) / 2;
+      if (in_off[mid] + mid < target) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    (*bounds)[b] = std::max(std::min(lo, n), (*bounds)[b - 1]);
+  }
 }
 
 PageRankKernel::PageRankKernel(const CsrGraph& graph,

@@ -43,6 +43,11 @@ std::vector<size_t> PullSweepBoundaries(const CsrGraph& graph,
                                         SweepPartition partition,
                                         size_t grain);
 
+/// The same partition written into `bounds`, reusing its storage: no
+/// allocation once it has held as many blocks.
+void PullSweepBoundaries(const CsrGraph& graph, SweepPartition partition,
+                         size_t grain, std::vector<size_t>* bounds);
+
 class PageRankKernel {
  public:
   /// Readies every buffer the iteration needs and builds the graph's

@@ -317,8 +317,9 @@ INSTANTIATE_TEST_SUITE_P(SerialAndPipelined, IngestServiceOracleTest,
                          });
 
 // Determinism through the full service: feed the identical event stream
-// to a serial service and a pipelined one (with multi-threaded export)
-// and require the FINAL published bundle image to be byte-identical.
+// to a serial service and a pipelined one (with multi-threaded export
+// and a multi-threaded solve) and require the FINAL published bundle
+// image to be byte-identical.
 // Batch boundaries may differ between runs (age-based flushes race the
 // producer), so only the final drained artifact — same graph, same
 // observation window — is compared.
@@ -329,6 +330,7 @@ TEST(IngestServiceTest, PipelinedFinalImageMatchesSerialByteForByte) {
     IngestOptions options;
     options.pipelined = pipelined;
     options.export_parallel.num_threads = pipelined ? 4 : 1;
+    options.rank.base.num_threads = pipelined ? 4 : 1;
     options.batch.max_events = 1 << 14;     // single Stop-drain batch:
     options.batch.max_age = seconds(3600);  // identical windows both runs
     options.observation_window = 3;

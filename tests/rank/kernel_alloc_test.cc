@@ -6,7 +6,8 @@
 // allocator and (a) proves a sequence of sweeps performs zero
 // allocations, (b) proves whole-engine allocation counts do not grow
 // with the iteration count for the Jacobi and delta engines — i.e. no
-// hidden per-iteration scratch.
+// hidden per-iteration scratch — and (c) proves a warm residual-push
+// solve on a birth-free delta allocates nothing at all.
 //
 // All measured runs are single-threaded so counts are deterministic.
 
@@ -21,9 +22,11 @@
 
 #include "common/rng.h"
 #include "graph/generators.h"
+#include "graph/graph_delta.h"
 #include "rank/delta_pagerank.h"
 #include "rank/pagerank.h"
 #include "rank/pagerank_kernel.h"
+#include "rank/residual_push.h"
 
 namespace {
 
@@ -130,6 +133,38 @@ TEST(KernelAllocTest, DeltaEngineAllocationsIndependentOfIterationCount) {
   const size_t short_run = run(5);
   const size_t long_run = run(50);
   EXPECT_EQ(short_run, long_run);
+}
+
+TEST(KernelAllocTest, WarmResidualPushAllocatesNothing) {
+  const CsrGraph g = TestGraph();
+  // A birth-free delta: drop one out-link of page 5, add one elsewhere.
+  const NodeId dropped = g.OutNeighbors(5)[0];
+  NodeId target = 0;
+  while (target == 9 || g.HasEdge(9, target)) ++target;
+  GraphDelta delta;
+  delta.old_num_nodes = delta.new_num_nodes = g.num_nodes();
+  delta.added = {{9, target}};
+  delta.removed = {{5, dropped}};
+  const CsrGraph next = g.ApplyDelta(delta).value();
+  next.BuildTranspose();
+
+  DeltaPageRankOptions o;
+  o.base.num_threads = 1;
+  ResidualPushTracker tracker(o);
+  std::vector<double> scores;
+  ASSERT_TRUE(tracker.Solve(g, GraphDelta{}, &scores).ok());  // cold start
+  ResidualPushStats stats;
+  const size_t allocs = AllocationsDuring([&] {
+    stats = tracker.Solve(next, delta, &scores).value();
+  });
+  // At audit level 2 the engine.residual validator re-checks every
+  // certified result on a copy of the scores; the zero-allocation
+  // contract is the one of the production (level 0 and 1) builds.
+  if constexpr (QRANK_AUDIT_LEVEL < 2) {
+    EXPECT_EQ(allocs, 0u);
+  }
+  EXPECT_GT(stats.pushes, 0u);  // the push really ran
+  EXPECT_TRUE(stats.converged);
 }
 
 }  // namespace

@@ -229,8 +229,9 @@ int CmdDrive(const DriveConfig& cfg, const DriveOutcome& outcome) {
   std::printf("batches         %" PRIu64 " -> %" PRIu64
               " generations (net delta edges %" PRIu64 ")\n",
               s.batches, s.generations, s.delta_edges_applied);
-  std::printf("solver          %" PRIu64 " node updates\n",
-              s.rank_node_updates);
+  std::printf("solver          %" PRIu64 " pushes, %" PRIu64
+              " edge reads\n",
+              s.rank_node_updates, s.rank_edge_reads);
   std::printf("queue           depth %" PRIu64 "/%" PRIu64
               " (max %" PRIu64 "), enqueued %" PRIu64 ", dequeued %" PRIu64
               "\n",
@@ -265,13 +266,14 @@ int CmdDrive(const DriveConfig& cfg, const DriveOutcome& outcome) {
 int CmdInspect(const DriveConfig& cfg, const DriveOutcome& outcome) {
   std::printf(
       "generation\tfirst_seq\tlast_seq\tevents\tadded\tremoved\tpages\t"
-      "iterations\tnode_updates\tmax_staleness_ms\n");
+      "iterations\tnode_updates\tedge_reads\tmax_staleness_ms\n");
   for (const IngestGenerationInfo& g : outcome.log) {
     std::printf("%" PRIu64 "\t%" PRIu64 "\t%" PRIu64 "\t%" PRIu64 "\t%"
-                PRIu64 "\t%" PRIu64 "\t%u\t%u\t%" PRIu64 "\t%.3f\n",
+                PRIu64 "\t%" PRIu64 "\t%u\t%u\t%" PRIu64 "\t%" PRIu64
+                "\t%.3f\n",
                 g.generation, g.first_sequence, g.last_sequence,
                 g.num_events, g.delta_added, g.delta_removed, g.num_pages,
-                g.rank_iterations, g.rank_node_updates,
+                g.rank_iterations, g.rank_node_updates, g.rank_edge_reads,
                 g.max_update_to_servable_ms);
   }
   return Finish(cfg, outcome);
