@@ -9,6 +9,7 @@
 // stopping depth — are the ones the serving layer actually sees.
 //
 // Suites:
+//   BM_BundleWrite         source -> writer -> image (pages/s)
 //   BM_BundleLoad          image -> validated LoadedBundle (pages/s)
 //   BM_TopK/alpha:*        single-thread QPS per blend mode
 //   BM_TopKSite/*          per-site filtered queries (site rotates)
@@ -135,6 +136,20 @@ void ReportQps(benchmark::State& state) {
   state.counters["qps"] =
       benchmark::Counter(static_cast<double>(state.iterations()),
                          benchmark::Counter::kIsRate);
+}
+
+// The writer: score-order sorts, site postings, section copies and
+// payload CRC over the 131k source (the export stage of a generation,
+// minus the estimator). The per-iteration source copy is timed too.
+void BM_BundleWrite(benchmark::State& state) {
+  const ScoreBundleSource source = MakeSource(7);
+  for (auto _ : state) {
+    auto writer = ScoreBundleWriter::Create(source);
+    benchmark::DoNotOptimize(writer.value().Serialize().size());
+  }
+  state.counters["pages/s"] = benchmark::Counter(
+      static_cast<double>(source.quality.size()),
+      benchmark::Counter::kIsIterationInvariantRate);
 }
 
 void BM_BundleLoad(benchmark::State& state) {
@@ -430,6 +445,7 @@ void RegisterAll() {
   const auto us = [](benchmark::internal::Benchmark* b) {
     b->Unit(benchmark::kMicrosecond)->UseRealTime();
   };
+  us(benchmark::RegisterBenchmark("BM_BundleWrite", BM_BundleWrite));
   us(benchmark::RegisterBenchmark("BM_BundleLoad", BM_BundleLoad));
   for (int alpha : {100, 50, 0}) {
     us(benchmark::RegisterBenchmark(

@@ -13,8 +13,8 @@
 // may compare equivalent — break ties explicitly, e.g. by index). With
 // a total order the sorted sequence is unique, so the result is
 // BIT-IDENTICAL to a serial std::sort for every thread count — the
-// property the serving-bundle writer relies on to keep published
-// bundles byte-identical regardless of export parallelism. With ties,
+// property graph/reorder.cc relies on to keep its degree-descending
+// permutation independent of the thread count. With ties,
 // the merge tree and std::sort may order equivalent elements
 // differently, breaking the serial-vs-parallel identity; a debug check
 // rejects such comparators.

@@ -1,6 +1,7 @@
 #include "core/bundle_export.h"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 
 namespace qrank {
@@ -28,14 +29,13 @@ Result<std::vector<double>> WindowQuality(
   std::vector<double> quality = *observations.back();
   const size_t common = observations.front()->size();
   if (observations.size() >= 2 && common > 0) {
-    std::vector<std::vector<double>> trimmed;
-    trimmed.reserve(observations.size());
+    std::vector<std::span<const double>> prefixes;
+    prefixes.reserve(observations.size());
     for (const std::vector<double>* observation : observations) {
-      trimmed.emplace_back(observation->begin(),
-                           observation->begin() + common);
+      prefixes.emplace_back(observation->data(), common);
     }
     QRANK_ASSIGN_OR_RETURN(QualityEstimate estimate,
-                           EstimateQuality(trimmed, options));
+                           EstimateQuality(prefixes, options));
     std::copy(estimate.quality.begin(), estimate.quality.end(),
               quality.begin());
   }

@@ -8,6 +8,14 @@ namespace qrank {
 Result<QualityEstimate> EstimateQuality(
     const std::vector<std::vector<double>>& pagerank_observations,
     const QualityEstimatorOptions& options) {
+  const std::vector<std::span<const double>> views(
+      pagerank_observations.begin(), pagerank_observations.end());
+  return EstimateQuality(views, options);
+}
+
+Result<QualityEstimate> EstimateQuality(
+    std::span<const std::span<const double>> pagerank_observations,
+    const QualityEstimatorOptions& options) {
   if (pagerank_observations.size() < 2) {
     return Status::InvalidArgument("need at least 2 PageRank observations");
   }
@@ -111,10 +119,10 @@ Result<QualityEstimate> EstimateQuality(const SnapshotSeries& series,
     return Status::InvalidArgument(
         "num_observations must be in [2, num_snapshots]");
   }
-  std::vector<std::vector<double>> obs;
+  std::vector<std::span<const double>> obs;
   obs.reserve(num_observations);
   for (size_t i = 0; i < num_observations; ++i) {
-    obs.push_back(series.pagerank(i));
+    obs.emplace_back(series.pagerank(i));
   }
   return EstimateQuality(obs, options);
 }

@@ -19,6 +19,7 @@
 #define QRANK_CORE_QUALITY_ESTIMATOR_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -72,6 +73,13 @@ struct QualityEstimate {
 /// damping < 1 is strictly positive).
 Result<QualityEstimate> EstimateQuality(
     const std::vector<std::vector<double>>& pagerank_observations,
+    const QualityEstimatorOptions& options = {});
+
+/// The same estimator over views of the observation vectors (same
+/// contract), so callers holding the vectors elsewhere — or estimating
+/// over a prefix of each — need not copy them.
+Result<QualityEstimate> EstimateQuality(
+    std::span<const std::span<const double>> pagerank_observations,
     const QualityEstimatorOptions& options = {});
 
 /// Convenience overload running on the observation prefix

@@ -52,7 +52,17 @@ IngestService::IngestService(CsrGraph initial_graph, SnapshotStore* store,
       queue_(options_.queue),
       accumulator_(options_.batch),
       graph_(std::move(initial_graph)),
-      rank_(options_.rank) {}
+      rank_(options_.rank) {
+  ExtendSiteColumn(graph_.num_nodes());
+}
+
+void IngestService::ExtendSiteColumn(NodeId num_pages) {
+  if (!options_.site_of) return;
+  for (NodeId p = static_cast<NodeId>(site_column_.size()); p < num_pages;
+       ++p) {
+    site_column_.push_back(options_.site_of(p));
+  }
+}
 
 Result<std::unique_ptr<IngestService>> IngestService::Create(
     CsrGraph initial_graph, SnapshotStore* store, IngestOptions options) {
@@ -308,10 +318,8 @@ Status IngestService::RunExportJob(ExportJob job) {
     source.pagerank = *job.window.back();
     source.num_sites = options_.num_sites;
     if (options_.site_of) {
-      source.site_ids.resize(n);
-      for (NodeId p = 0; p < n; ++p) {
-        source.site_ids[p] = options_.site_of(p);
-      }
+      ExtendSiteColumn(n);
+      source.site_ids.assign(site_column_.begin(), site_column_.begin() + n);
     }
     {
       MutexLock lock(&mu_);

@@ -102,7 +102,8 @@ struct IngestOptions {
   size_t observation_window = 4;
 
   /// Site layout of exported bundles: page p belongs to site_of(p)
-  /// (< num_sites). Defaults: everything in one site 0.
+  /// (< num_sites). Called once per page, when the page is born; the
+  /// service keeps the column. Defaults: everything in one site 0.
   SiteId num_sites = 1;
   std::function<SiteId(NodeId)> site_of;
 
@@ -296,6 +297,9 @@ class IngestService {
   /// Export half of one generation: estimate -> export -> publish ->
   /// latency + stage accounting.
   Status RunExportJob(ExportJob job) QRANK_EXCLUDES(mu_);
+  /// Appends site_of(p) to site_column_ for every page below
+  /// `num_pages` it does not cover yet (pages are only ever born).
+  void ExtendSiteColumn(NodeId num_pages);
   /// Brings the tracker to graph_ (the first call is its cold start) and
   /// appends the scores to the observation window.
   Status RecomputeScores(const GraphDelta& delta, ResidualPushStats* solve);
@@ -317,6 +321,12 @@ class IngestService {
   ResidualPushTracker rank_;
   bool prev_converged_ = false;
   std::deque<SharedObservation> observations_;  // export-scale window
+
+  // Export-stage state: site_of(p) per page, computed once per page at
+  // birth. Only the export stage touches it (Start()'s inline initial
+  // publish, then the exporter thread, or the consumer thread when not
+  // pipelined), so it needs no lock.
+  std::vector<SiteId> site_column_;
 
   // The solve -> export handoff (pipelined mode). Capacity 1: one job
   // queued while the exporter works on the previous one, so at most two

@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <cmath>
 #include <cstring>
@@ -13,34 +14,67 @@
 #include <numeric>
 #include <utility>
 
-#include "common/parallel_sort.h"
-
 namespace qrank {
 
 namespace {
 
 // Fixed chunking for the export-side parallel passes. Like every grain
 // in the parallel substrate, these shape the block boundaries and hence
-// the partial results — but the combined output (sorted order, postings
-// layout, CRC value) is identical to the serial computation for every
-// thread count.
-constexpr size_t kRowGrain = size_t{1} << 14;   // rows per sort/scan block
+// the partial results — but the combined output (postings layout, CRC
+// value) is identical to the serial computation for every thread count.
+constexpr size_t kRowGrain = size_t{1} << 14;   // rows per scan block
 constexpr size_t kCrcChunk = size_t{1} << 20;   // bytes per CRC chunk
 
-// Sort rows by (score desc, row asc): the deterministic serving order.
-// The comparator is a strict total order (ties broken by row id), so
-// ParallelSort's output is bit-identical to std::sort at any width.
+// Radix key of a score: finite non-negative doubles order like their
+// IEEE-754 bit patterns read as unsigned integers once -0.0 is folded
+// into +0.0, so ~bits sorts ascending into score descending.
+inline uint64_t DescendingKey(double score) {
+  return ~(score == 0.0 ? uint64_t{0} : std::bit_cast<uint64_t>(score));
+}
+
+// Rows by (score desc, row asc): the deterministic serving order, as a
+// serial indirect LSD radix sort over DescendingKey(score[row]). Each
+// pass is a stable counting scatter of row ids and the rows start
+// ascending, so ties keep ascending row ids: the order std::sort gives
+// under the (score desc, row asc) comparator, at any thread count. A
+// pass whose digit is the same for every row would move nothing and is
+// skipped. `rows` and `row_scratch` hold score.size() entries and are
+// allocated by the caller; on return `rows` holds the order (the two
+// may have been swapped).
 void SortRowsByScoreDescending(const std::vector<double>& score,
                                std::vector<NodeId>* rows,
-                               ParallelOptions parallel) {
-  parallel.grain = kRowGrain;
-  ParallelSort(
-      rows,
-      [&score](NodeId a, NodeId b) {
-        if (score[a] != score[b]) return score[a] > score[b];
-        return a < b;
-      },
-      parallel);
+                               std::vector<NodeId>* row_scratch) {
+  constexpr int kDigitBits = 11;
+  constexpr int kDigits = (64 + kDigitBits - 1) / kDigitBits;
+  constexpr size_t kBuckets = size_t{1} << kDigitBits;
+  const size_t n = score.size();
+  uint32_t counts[kDigits][kBuckets] = {};
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t key = DescendingKey(score[i]);
+    (*rows)[i] = static_cast<NodeId>(i);
+    for (int d = 0; d < kDigits; ++d) {
+      ++counts[d][(key >> (d * kDigitBits)) & (kBuckets - 1)];
+    }
+  }
+  const uint64_t first_key = DescendingKey(score[0]);
+  for (int d = 0; d < kDigits; ++d) {
+    const int shift = d * kDigitBits;
+    uint32_t* next = counts[d];
+    if (next[(first_key >> shift) & (kBuckets - 1)] == n) continue;
+    uint32_t start = 0;
+    for (size_t b = 0; b < kBuckets; ++b) {
+      const uint32_t count = next[b];
+      next[b] = start;
+      start += count;
+    }
+    const NodeId* in = rows->data();
+    NodeId* out = row_scratch->data();
+    for (size_t i = 0; i < n; ++i) {
+      const NodeId row = in[i];
+      out[next[(DescendingKey(score[row]) >> shift) & (kBuckets - 1)]++] = row;
+    }
+    rows->swap(*row_scratch);
+  }
 }
 
 // CRC-32 of [data, data + len), split into fixed kCrcChunk chunks
@@ -197,13 +231,31 @@ Result<ScoreBundleWriter> ScoreBundleWriter::Create(ScoreBundleSource source,
   ScoreBundleWriter w;
   w.source_ = std::move(source);
   w.parallel_ = parallel;
+  // The two score columns sort side by side, one serial radix sort per
+  // block. Every buffer is sized here, on the calling thread, so no
+  // pool thread allocates; site_pages_ is the quality column's row
+  // scratch until BuildSitePostings overwrites it.
   w.order_by_quality_.resize(n);
-  std::iota(w.order_by_quality_.begin(), w.order_by_quality_.end(),
-            NodeId{0});
-  w.order_by_pagerank_ = w.order_by_quality_;
-  SortRowsByScoreDescending(w.source_.quality, &w.order_by_quality_, parallel);
-  SortRowsByScoreDescending(w.source_.pagerank, &w.order_by_pagerank_,
-                            parallel);
+  w.order_by_pagerank_.resize(n);
+  w.site_pages_.resize(n);
+  std::vector<NodeId> pagerank_scratch(n);
+  ParallelOptions columns = parallel;
+  columns.grain = 1;
+  ParallelForBlocks(
+      2,
+      [&](size_t lo, size_t hi) {
+        for (size_t column = lo; column < hi; ++column) {
+          if (column == 0) {
+            SortRowsByScoreDescending(w.source_.quality, &w.order_by_quality_,
+                                      &w.site_pages_);
+          } else {
+            SortRowsByScoreDescending(w.source_.pagerank,
+                                      &w.order_by_pagerank_,
+                                      &pagerank_scratch);
+          }
+        }
+      },
+      columns);
   BuildSitePostings(w.source_.site_ids, w.source_.num_sites,
                     w.order_by_quality_, &w.site_offsets_, &w.site_pages_,
                     parallel);

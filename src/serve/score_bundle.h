@@ -57,8 +57,8 @@ class ScoreBundleWriter {
   /// scores, site ids < num_sites) and precomputes the index sections.
   /// `parallel` sets the executor width for the index build (score-order
   /// sorts, per-site postings) and for Serialize(); the output image is
-  /// byte-identical for every num_threads value — the sorts run under
-  /// ParallelSort's total-order contract (ties broken by row id), the
+  /// byte-identical for every num_threads value — each score order is
+  /// one serial radix sort (ties broken by ascending row id), the
   /// postings counting-sort scatters into thread-independent windows,
   /// and chunked CRCs are folded with BundleCrc32Combine.
   static Result<ScoreBundleWriter> Create(ScoreBundleSource source,

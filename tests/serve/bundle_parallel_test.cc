@@ -3,10 +3,15 @@
 // section copies, CRCs), and the chunked CRC combine must reproduce the
 // one-pass CRC exactly — the contract that lets the pipelined ingest
 // service parallelize the publish path without perturbing published
-// bytes.
+// bytes. The CRC kernel is pinned against the CRC-32 definition itself,
+// and the radix serving order against std::sort under the (score desc,
+// row asc) comparator.
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
+#include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -34,6 +39,57 @@ ScoreBundleSource SyntheticSource(NodeId num_pages, SiteId num_sites,
   }
   source.num_sites = num_sites;
   return source;
+}
+
+// CRC-32 straight from its definition: reflected polynomial 0xEDB88320,
+// one bit at a time, initial value and final XOR 0xFFFFFFFF.
+uint32_t BitwiseCrc32(const uint8_t* data, size_t len, uint32_t crc = 0) {
+  crc = ~crc;
+  for (size_t i = 0; i < len; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
+    }
+  }
+  return ~crc;
+}
+
+std::vector<uint8_t> RandomBytes(size_t len, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<uint8_t> data(len);
+  for (uint8_t& b : data) b = static_cast<uint8_t>(rng.NextUint64());
+  return data;
+}
+
+TEST(BundleCrc32Test, StandardCheckValue) {
+  const std::string check = "123456789";
+  EXPECT_EQ(BundleCrc32(reinterpret_cast<const uint8_t*>(check.data()),
+                        check.size()),
+            0xCBF43926u);
+}
+
+TEST(BundleCrc32Test, MatchesBitwiseDefinitionAtEveryLengthAndOffset) {
+  // Every length through eight whole 8-byte steps plus every tail, at
+  // every alignment of the start pointer.
+  const std::vector<uint8_t> data = RandomBytes(64 + 8, 3);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 64; ++len) {
+      const uint8_t* p = data.data() + offset;
+      ASSERT_EQ(BundleCrc32(p, len), BitwiseCrc32(p, len))
+          << "offset " << offset << " length " << len;
+      // A running CRC continues exactly like the definition's.
+      ASSERT_EQ(BundleCrc32(p, len, 0x12345678u),
+                BitwiseCrc32(p, len, 0x12345678u))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(BundleCrc32Test, MatchesBitwiseDefinitionOnAnImageSizedBuffer) {
+  // The size of a 131k-page bundle image, odd so the tail runs too.
+  const std::vector<uint8_t> data = RandomBytes(4'700'003, 5);
+  EXPECT_EQ(BundleCrc32(data.data(), data.size()),
+            BitwiseCrc32(data.data(), data.size()));
 }
 
 TEST(BundleCrc32CombineTest, MatchesOnePassCrcAtEverySplit) {
@@ -126,6 +182,101 @@ TEST(BundleParallelTest, ParallelValidationAcceptsAndRejectsLikeSerial) {
   Result<LoadedBundle> bad = LoadedBundle::FromBuffer(std::move(corrupt), wide);
   ASSERT_FALSE(bad.ok());
   EXPECT_EQ(bad.status().code(), StatusCode::kCorruption);
+}
+
+// Score columns for the serving-order tests. Every shape is finite and
+// non-negative (what ScoreBundleWriter accepts) but stresses the radix
+// key: ties, -0.0 beside +0.0, the smallest subnormal, huge values, and
+// one repeated value (every radix pass skipped).
+enum class ColumnShape { kTies, kSignedZeros, kExtremes, kAllEqual, kSpread };
+
+std::vector<double> ShapedColumn(ColumnShape shape, size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> column(n);
+  for (double& v : column) {
+    const uint64_t r = rng.NextUint64();
+    switch (shape) {
+      case ColumnShape::kTies:
+        v = static_cast<double>(r % 5) / 7.0;
+        break;
+      case ColumnShape::kSignedZeros: {
+        const double values[] = {0.0, -0.0, 1.0, 4.9e-324, -0.0};
+        v = values[r % 5];
+        break;
+      }
+      case ColumnShape::kExtremes: {
+        const double values[] = {4.9e-324, 1e300, 0.0,    -0.0,
+                                 2.2250738585072014e-308, 1.0, 1e-300};
+        v = (r & 1) ? values[(r >> 1) % 7] : rng.UniformDouble(0.0, 3.0);
+        break;
+      }
+      case ColumnShape::kAllEqual:
+        v = 0.25;
+        break;
+      case ColumnShape::kSpread:
+        v = rng.UniformDouble(0.0, 3.0) * (r % 3 == 0 ? 1e-6 : 1.0);
+        break;
+    }
+  }
+  return column;
+}
+
+std::vector<NodeId> ComparatorOrder(const std::vector<double>& score) {
+  std::vector<NodeId> rows(score.size());
+  std::iota(rows.begin(), rows.end(), NodeId{0});
+  std::sort(rows.begin(), rows.end(), [&score](NodeId a, NodeId b) {
+    if (score[a] != score[b]) return score[a] > score[b];
+    return a < b;
+  });
+  return rows;
+}
+
+TEST(BundleParallelTest, RadixOrderMatchesComparatorSortOnEdgeScores) {
+  const ColumnShape shapes[] = {ColumnShape::kTies, ColumnShape::kSignedZeros,
+                                ColumnShape::kExtremes, ColumnShape::kAllEqual,
+                                ColumnShape::kSpread};
+  constexpr size_t kShapes = sizeof(shapes) / sizeof(shapes[0]);
+  for (const NodeId pages :
+       {NodeId{1}, NodeId{(1u << 14) - 1}, NodeId{1u << 14},
+        NodeId{(1u << 14) + 1}}) {
+    for (size_t s = 0; s < kShapes; ++s) {
+      SCOPED_TRACE("pages " + std::to_string(pages) + " shape " +
+                   std::to_string(s));
+      // Each shape appears once as the quality column and once as the
+      // pagerank column.
+      ScoreBundleSource source = SyntheticSource(pages, 13, pages + s);
+      source.quality = ShapedColumn(shapes[s], pages, 2 * s + 1);
+      source.pagerank =
+          ShapedColumn(shapes[(s + 1) % kShapes], pages, 2 * s + 2);
+      source.expected_mass = 1.0;  // the 1e300 sums overflow otherwise
+
+      std::vector<uint8_t> serial_image;
+      for (const int threads : {1, 2, 4, 8}) {
+        ParallelOptions opts;
+        opts.num_threads = threads;
+        Result<ScoreBundleWriter> writer =
+            ScoreBundleWriter::Create(source, opts);
+        ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+        std::vector<uint8_t> image = writer.value().Serialize();
+        if (threads == 1) {
+          serial_image = image;
+        } else {
+          ASSERT_EQ(image, serial_image) << "threads=" << threads;
+          continue;
+        }
+        Result<LoadedBundle> bundle = LoadedBundle::FromBuffer(std::move(image));
+        ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
+        const std::span<const NodeId> by_quality =
+            bundle.value().order_by_quality();
+        const std::span<const NodeId> by_pagerank =
+            bundle.value().order_by_pagerank();
+        EXPECT_EQ(std::vector<NodeId>(by_quality.begin(), by_quality.end()),
+                  ComparatorOrder(source.quality));
+        EXPECT_EQ(std::vector<NodeId>(by_pagerank.begin(), by_pagerank.end()),
+                  ComparatorOrder(source.pagerank));
+      }
+    }
+  }
 }
 
 }  // namespace
