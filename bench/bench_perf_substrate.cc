@@ -1,19 +1,23 @@
 // Performance of the substrate layers (google-benchmark): CSR
-// construction, transpose, dynamic-graph snapshot extraction, simulator
-// stepping, alias-table sampling, and graph generators.
+// construction, transpose, delta application, dynamic-graph snapshot
+// extraction, simulator stepping, alias-table sampling, and graph
+// generators.
 
 #include <benchmark/benchmark.h>
 
 #include "bench_json.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/parallel_for.h"
 #include "common/rng.h"
 #include "graph/dynamic_graph.h"
 #include "graph/generators.h"
+#include "graph/graph_delta.h"
 #include "sim/web_simulator.h"
 
 namespace {
@@ -60,6 +64,54 @@ void BM_CsrTranspose(benchmark::State& state) {
             .value();
     state.ResumeTiming();
   }
+}
+
+void BM_ApplyDelta(benchmark::State& state) {
+  // One ingest generation's graph update: the 131k-page site graph the
+  // ingest benches use, transpose cached, patched by a delta of
+  // range(0) added and range(1) removed edges. Iterations alternate the
+  // delta and its inverse, so every application is valid and the graph
+  // stays the same size.
+  qrank::Rng rng(41);
+  qrank::CsrGraph graph =
+      qrank::CsrGraph::FromEdgeList(
+          qrank::GenerateSiteClustered(655, 200, 12, 6, &rng).value())
+          .value();
+  graph.BuildTranspose();
+  const qrank::NodeId n = graph.num_nodes();
+  qrank::GraphDelta forward;
+  forward.old_num_nodes = forward.new_num_nodes = n;
+  while (forward.added.size() < static_cast<size_t>(state.range(0))) {
+    const auto u = static_cast<qrank::NodeId>(rng.UniformUint64(n));
+    const auto v = static_cast<qrank::NodeId>(rng.UniformUint64(n));
+    if (u == v || graph.HasEdge(u, v)) continue;
+    forward.added.push_back({u, v});
+    std::sort(forward.added.begin(), forward.added.end());
+    forward.added.erase(
+        std::unique(forward.added.begin(), forward.added.end()),
+        forward.added.end());
+  }
+  while (forward.removed.size() < static_cast<size_t>(state.range(1))) {
+    const auto u = static_cast<qrank::NodeId>(rng.UniformUint64(n));
+    if (graph.OutDegree(u) == 0) continue;
+    const auto nbrs = graph.OutNeighbors(u);
+    forward.removed.push_back({u, nbrs[rng.UniformUint64(nbrs.size())]});
+    std::sort(forward.removed.begin(), forward.removed.end());
+    forward.removed.erase(
+        std::unique(forward.removed.begin(), forward.removed.end()),
+        forward.removed.end());
+  }
+  qrank::GraphDelta inverse = forward;
+  std::swap(inverse.added, inverse.removed);
+  bool flip = false;
+  for (auto _ : state) {
+    graph = graph.ApplyDelta(flip ? inverse : forward).value();
+    flip = !flip;
+    benchmark::DoNotOptimize(graph.num_edges());
+  }
+  state.counters["delta_edges"] =
+      static_cast<double>(forward.num_changes());
+  state.counters["edges"] = static_cast<double>(graph.num_edges());
 }
 
 void BM_DynamicSnapshot(benchmark::State& state) {
@@ -197,6 +249,8 @@ void BM_SimulatorStepThreads(benchmark::State& state) {
 
 BENCHMARK(BM_CsrBuild)->Arg(4096)->Arg(32768)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CsrTranspose)->Arg(4096)->Arg(32768)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ApplyDelta)->Args({57, 20})->Args({1517, 533})
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_DynamicSnapshot)->Arg(10000)->Arg(100000)
     ->Unit(benchmark::kMillisecond);
