@@ -10,7 +10,7 @@
 //
 // Deltas are exact set differences: `added` holds edges present only in
 // the newer graph, `removed` edges present only in the older one, both
-// sorted by (src, dst). A delta produced by Between()/BetweenPrefix()
+// strictly sorted by (src, dst) (no edge listed twice). A delta produced by Between()/BetweenPrefix()
 // always satisfies ApplyDelta's consistency contract.
 
 #ifndef QRANK_GRAPH_GRAPH_DELTA_H_
