@@ -22,28 +22,30 @@
 //                          window-2 closed-loop: burst N+2 is admitted
 //                          only once burst N is servable, so two bursts
 //                          are always in flight. The serial service
-//                          pays solve+export per burst; the pipelined
-//                          one overlaps burst N+1's solve with burst
-//                          N's export (and parallelizes the export
-//                          itself), so the per-burst real time drops
-//                          toward max(solve, export) on multicore.
-//                          The overlap hides at most the smaller stage.
-//                          With the export down to a fraction of the
-//                          solve (slicing-by-8 CRC, radix serving
-//                          order), both rows pay little for it and the
-//                          ratio falls toward (solve + export) / solve.
+//                          pays consumer + exporter stage per burst;
+//                          the pipelined one overlaps burst N+1's
+//                          apply+solve with burst N's estimate+export+
+//                          publish, so its per-burst period drops to
+//                          max(consumer, exporter) on multicore. The
+//                          `overlap` counter measures that directly:
+//                          (consumer + exporter - period) / min(consumer,
+//                          exporter), 1 when the smaller stage is fully
+//                          hidden, 0 when the stages run back to back.
 //
 // With --check_ingest_regression the process exits non-zero unless the
 // stop-and-wait row is present, ran under real concurrent query load,
 // carries a per-stage breakdown, and its p99 update-to-servable latency
 // sits inside the bounded-staleness SLO ceiling — plus, on hosts with
-// >= 2 hardware threads, the pipelined stream row must beat the serial
-// one by >= 1.5x on p99 update-to-servable (the headline claim of the
-// pipelined rewrite, made when the export cost as much as the solve;
-// with today's cheaper export the ratio can fall under 1.5x while the
-// SLO half passes). On single-core hosts the ratio is reported but
-// not enforced: with one executor there is nothing to overlap, and
-// failing the gate there would only measure the scheduler.
+// >= 2 hardware threads, the pipelined stream row's overlap must be
+// >= 0.5: its period sits nearer max(stage) than sum(stages). A p99
+// ratio against the serial row (the earlier form of this check) cannot
+// exceed (consumer + exporter) / consumer, which is under 1.5 once the
+// export costs a fraction of the solve, and the p99 of a few dozen
+// generations moves with one slow solve; the overlap reads means over
+// 64 generations and does not depend on the stages' ratio. On
+// single-core hosts the overlap is reported but not enforced: with one
+// executor there is nothing to overlap, and failing the gate there
+// would only measure the scheduler.
 // A single-core Release run of the stop-and-wait row shows p50 ~320 ms
 // / p99 ~580 ms per 512-event burst on the 131k workload; the 1 s
 // ceiling leaves ~1.7x headroom for runner noise while still catching a
@@ -52,6 +54,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -344,6 +347,7 @@ void RunIngestStream(benchmark::State& state, bool pipelined) {
     return;
   }
   IngestService& ingest = *service.value();
+  const IngestStats start_stats = ingest.Stats();  // the cold start only
 
   Rng rng(2026);
   uint64_t enqueued = 0;
@@ -363,6 +367,7 @@ void RunIngestStream(benchmark::State& state, bool pipelined) {
     failed = true;
   }
   uint64_t servable = 0;
+  const auto timed_start = std::chrono::steady_clock::now();
   for (auto _ : state) {
     if (failed) break;
     servable += kBurst;
@@ -375,6 +380,7 @@ void RunIngestStream(benchmark::State& state, bool pipelined) {
       break;
     }
   }
+  const auto timed = std::chrono::steady_clock::now() - timed_start;
   // Drain the tail the window still holds before reading final stats.
   if (!failed && !ingest.WaitServable(enqueued, std::chrono::seconds(120))) {
     state.SkipWithError("drain timeout");
@@ -390,6 +396,35 @@ void RunIngestStream(benchmark::State& state, bool pipelined) {
   state.counters["max_ms"] = benchmark::Counter(stats.latency_max_ms);
   state.counters["generations"] =
       benchmark::Counter(static_cast<double>(stats.generations));
+  // Mean stage times of the batch generations (the cold start excluded)
+  // against the mean per-burst period.
+  auto mean_ms = [](const qrank::IngestStageStats& before,
+                    const qrank::IngestStageStats& after) {
+    const double n = static_cast<double>(after.count - before.count);
+    return n > 0.0 ? (after.mean_ms * static_cast<double>(after.count) -
+                      before.mean_ms * static_cast<double>(before.count)) /
+                         n
+                   : 0.0;
+  };
+  const double consumer =
+      mean_ms(start_stats.stage_apply, stats.stage_apply) +
+      mean_ms(start_stats.stage_solve, stats.stage_solve);
+  const double exporter =
+      mean_ms(start_stats.stage_estimate, stats.stage_estimate) +
+      mean_ms(start_stats.stage_export, stats.stage_export) +
+      mean_ms(start_stats.stage_publish, stats.stage_publish);
+  const double period =
+      state.iterations() > 0
+          ? std::chrono::duration<double, std::milli>(timed).count() /
+                static_cast<double>(state.iterations())
+          : 0.0;
+  state.counters["consumer_ms_mean"] = benchmark::Counter(consumer);
+  state.counters["exporter_ms_mean"] = benchmark::Counter(exporter);
+  state.counters["period_ms"] = benchmark::Counter(period);
+  state.counters["overlap"] = benchmark::Counter(
+      std::min(consumer, exporter) > 0.0
+          ? (consumer + exporter - period) / std::min(consumer, exporter)
+          : 0.0);
   AddStageCounters(state, stats);
   AddSolveCounters(state, ingest, stats);
 }
@@ -423,7 +458,7 @@ void RegisterAll() {
     benchmark::RegisterBenchmark(name, fn)
         ->Unit(benchmark::kMillisecond)
         ->UseRealTime()
-        ->Iterations(16);
+        ->Iterations(64);
   }
 }
 
@@ -437,14 +472,16 @@ void RegisterAll() {
 //     solve's critical path. A cold-solve-per-batch regression (seconds
 //     per generation) still trips it with margin.
 //
-//  2. Pipelining win: on hosts with >= 2 hardware threads, the
-//     pipelined stream row must cut p99 update-to-servable by >= 1.5x
-//     vs the serial row under the same window-2 closed loop. On a
-//     single core there is nothing to overlap, so the ratio is printed
-//     for the record but not enforced.
+//  2. Stage overlap: on hosts with >= 2 hardware threads, the
+//     pipelined stream row's per-burst period must hide at least half
+//     of its smaller stage (overlap >= 0.5), i.e. sit nearer
+//     max(consumer, exporter) than their sum. The serial row under the
+//     same window-2 closed loop is printed beside it as the no-overlap
+//     reference (~0). On a single core there is nothing to overlap, so
+//     the overlap is printed for the record but not enforced.
 int CheckIngestRegression(const std::vector<qrank_bench::BenchRow>& rows) {
   constexpr double kMaxP99Ms = 1000.0;
-  constexpr double kMinStreamSpeedup = 1.5;
+  constexpr double kMinOverlap = 0.5;
   const qrank_bench::BenchRow* pipeline = nullptr;
   const qrank_bench::BenchRow* serial = nullptr;
   const qrank_bench::BenchRow* pipelined = nullptr;
@@ -504,33 +541,37 @@ int CheckIngestRegression(const std::vector<qrank_bench::BenchRow>& rows) {
                  "rows missing\n");
     return 1;
   }
-  const double serial_p99 = serial->Counter("p99_ms");
-  const double pipelined_p99 = pipelined->Counter("p99_ms");
-  if (serial_p99 <= 0.0 || pipelined_p99 <= 0.0) {
+  const double overlap = pipelined->Counter("overlap");
+  const unsigned hw = std::thread::hardware_concurrency();
+  for (const qrank_bench::BenchRow* r : {serial, pipelined}) {
+    std::printf(
+        "ingest gate: stream %s period %.3f ms, consumer %.3f ms + "
+        "exporter %.3f ms, overlap %.2f (p99 %.3f ms)\n",
+        r == serial ? "serial   " : "pipelined", r->Counter("period_ms"),
+        r->Counter("consumer_ms_mean"), r->Counter("exporter_ms_mean"),
+        r->Counter("overlap"), r->Counter("p99_ms"));
+  }
+  if (pipelined->Counter("period_ms") <= 0.0 ||
+      pipelined->Counter("consumer_ms_mean") <= 0.0 ||
+      pipelined->Counter("exporter_ms_mean") <= 0.0) {
     std::fprintf(stderr,
-                 "ingest gate FAILED: stream rows carry no latency "
-                 "measurement\n");
+                 "ingest gate FAILED: pipelined stream row carries no "
+                 "stage or period measurement\n");
     return 1;
   }
-  const double speedup = serial_p99 / pipelined_p99;
-  const unsigned hw = std::thread::hardware_concurrency();
-  std::printf(
-      "ingest gate: stream p99 serial %.3f ms vs pipelined %.3f ms "
-      "(%.2fx, per-burst real %.3f vs %.3f ms) on %u hardware threads\n",
-      serial_p99, pipelined_p99, speedup, serial->real_ms, pipelined->real_ms,
-      hw);
-  if (hw >= 2 && speedup < kMinStreamSpeedup) {
+  if (hw >= 2 && overlap < kMinOverlap) {
     std::fprintf(stderr,
-                 "ingest gate FAILED: pipelined stream p99 speedup %.2fx "
-                 "< %.1fx on a %u-thread host\n",
-                 speedup, kMinStreamSpeedup, hw);
+                 "ingest gate FAILED: pipelined stream overlap %.2f < %.2f "
+                 "on a %u-thread host (period near the sum of the stages, "
+                 "not their max)\n",
+                 overlap, kMinOverlap, hw);
     return 1;
   }
   if (hw < 2) {
     std::printf(
-        "ingest gate: single hardware thread — %.1fx speedup check "
+        "ingest gate: single hardware thread — overlap >= %.2f check "
         "reported but not enforced (nothing to overlap)\n",
-        kMinStreamSpeedup);
+        kMinOverlap);
   }
   return 0;
 }

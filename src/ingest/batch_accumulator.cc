@@ -15,14 +15,11 @@ uint64_t EdgeKey(NodeId src, NodeId dst) {
 BatchAccumulator::BatchAccumulator(BatchPolicy policy) : policy_(policy) {}
 
 void BatchAccumulator::Absorb(const UpdateEvent& event) {
-  if (num_events_ == 0 || event.sequence < first_sequence_) {
+  if (empty() || event.sequence < first_sequence_) {
     first_sequence_ = event.sequence;
   }
   last_sequence_ = std::max(last_sequence_, event.sequence);
-  if (num_events_ == 0 || event.enqueue_time < oldest_enqueue_) {
-    oldest_enqueue_ = event.enqueue_time;
-  }
-  ++num_events_;
+  arrivals_.Add(event.enqueue_time);
   enqueue_times_.push_back(event.enqueue_time);
 
   switch (event.kind) {
@@ -48,15 +45,8 @@ void BatchAccumulator::Absorb(const UpdateEvent& event) {
   }
 }
 
-bool BatchAccumulator::ShouldFlush(
-    std::chrono::steady_clock::time_point now) const {
-  if (num_events_ == 0) return false;
-  if (num_events_ >= policy_.max_events) return true;
-  return now - oldest_enqueue_ >= policy_.max_age;
-}
-
 Result<FlushedBatch> BatchAccumulator::Flush(const CsrGraph& base) {
-  if (num_events_ == 0) {
+  if (empty()) {
     return Status::FailedPrecondition("flush of an empty batch");
   }
   FlushedBatch batch;
@@ -84,7 +74,7 @@ Result<FlushedBatch> BatchAccumulator::Flush(const CsrGraph& base) {
 
   batch.first_sequence = first_sequence_;
   batch.last_sequence = last_sequence_;
-  batch.num_events = num_events_;
+  batch.num_events = arrivals_.events;
   batch.num_adds = num_adds_;
   batch.num_removes = num_removes_;
   batch.num_visits = num_visits_;
@@ -94,8 +84,8 @@ Result<FlushedBatch> BatchAccumulator::Flush(const CsrGraph& base) {
   visit_counts_.clear();
   enqueue_times_.clear();
   first_sequence_ = last_sequence_ = 0;
-  num_events_ = num_adds_ = num_removes_ = num_visits_ = 0;
-  oldest_enqueue_ = {};
+  num_adds_ = num_removes_ = num_visits_ = 0;
+  arrivals_ = {};
   return batch;
 }
 

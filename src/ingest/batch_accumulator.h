@@ -1,5 +1,5 @@
 // BatchAccumulator: coalesces a run of update events into one exact
-// GraphDelta batch under size/age flush policies.
+// GraphDelta batch under the size/age/quiet flush policy.
 //
 // The ingest loop amortizes the per-generation cost (CSR patch,
 // incremental PageRank, bundle export, publish) over many events by
@@ -28,10 +28,15 @@
 // surviving added edges only (max endpoint + 1); continuous ingest
 // never shrinks the page set.
 //
-// Flush policy: ShouldFlush fires when max_events events have been
-// absorbed (size bound) or the oldest absorbed event has waited
-// max_age (staleness bound) — the two knobs that trade batching
-// efficiency against the update-to-servable SLO.
+// Flush policy (batch_policy.h): DueReason fires when max_events events
+// have been absorbed (size bound), when the oldest absorbed event has
+// waited max_age (staleness bound), or when the stream has gone quiet —
+// no arrival for max(max_age / 8, 8 x the batch's mean inter-arrival
+// gap) once the batch holds >= 8 events. max_events and max_age are
+// the two knobs that trade batching efficiency against the
+// update-to-servable SLO; the quiet gap derives from max_age, so a
+// burst ends its batch a few ms after its last event while a steady
+// stream of any rate almost never ends one early.
 //
 // Not thread-safe: owned and driven by the single IngestService
 // consumer thread.
@@ -48,18 +53,10 @@
 #include "common/status.h"
 #include "graph/csr_graph.h"
 #include "graph/graph_delta.h"
+#include "ingest/batch_policy.h"
 #include "ingest/update_queue.h"
 
 namespace qrank {
-
-struct BatchPolicy {
-  /// Flush once this many events have been absorbed.
-  size_t max_events = 4096;
-  /// Flush once the oldest absorbed event has waited this long — the
-  /// batching half of the bounded-staleness SLO (the other half is the
-  /// compute+publish time itself).
-  std::chrono::nanoseconds max_age = std::chrono::milliseconds(50);
-};
 
 /// One coalesced batch, ready for the apply -> rank -> export -> publish
 /// generation step.
@@ -82,6 +79,10 @@ struct FlushedBatch {
   uint64_t num_removes = 0;
   uint64_t num_visits = 0;
 
+  /// Which trigger ended the batch; set by the caller of Flush, which
+  /// alone knows about a drain.
+  FlushReason reason = FlushReason::kNone;
+
   /// Enqueue timestamp of every absorbed event — the per-event start
   /// points of the update-to-servable latency measurement.
   std::vector<std::chrono::steady_clock::time_point> enqueue_times;
@@ -94,14 +95,23 @@ class BatchAccumulator {
   /// Absorbs one event (last-writer-wins by event.sequence).
   void Absorb(const UpdateEvent& event);
 
-  bool empty() const { return num_events_ == 0; }
-  size_t num_events() const { return num_events_; }
+  bool empty() const { return arrivals_.events == 0; }
+  size_t num_events() const { return arrivals_.events; }
   size_t num_edge_events() const { return num_adds_ + num_removes_; }
   const BatchPolicy& policy() const { return policy_; }
+  /// Enqueue times of the pending events (what the time triggers read).
+  const ArrivalSpan& arrivals() const { return arrivals_; }
 
-  /// True when the size or age policy says the pending batch should be
-  /// emitted now. Always false while empty.
-  bool ShouldFlush(std::chrono::steady_clock::time_point now) const;
+  /// The trigger that makes the pending batch due at `now`, or kNone.
+  /// Always kNone while empty.
+  FlushReason DueReason(std::chrono::steady_clock::time_point now) const {
+    return qrank::DueReason(policy_, arrivals_, now);
+  }
+  /// True when the size, age or quiet trigger says the pending batch
+  /// should be emitted now. Always false while empty.
+  bool ShouldFlush(std::chrono::steady_clock::time_point now) const {
+    return DueReason(now) != FlushReason::kNone;
+  }
 
   /// Emits the pending batch as a net delta against `base` and resets
   /// the accumulator. FailedPrecondition when empty.
@@ -119,11 +129,10 @@ class BatchAccumulator {
   std::unordered_map<NodeId, uint64_t> visit_counts_;
   uint64_t first_sequence_ = 0;
   uint64_t last_sequence_ = 0;
-  uint64_t num_events_ = 0;
   uint64_t num_adds_ = 0;
   uint64_t num_removes_ = 0;
   uint64_t num_visits_ = 0;
-  std::chrono::steady_clock::time_point oldest_enqueue_{};
+  ArrivalSpan arrivals_;
   std::vector<std::chrono::steady_clock::time_point> enqueue_times_;
 };
 

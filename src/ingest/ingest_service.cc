@@ -37,6 +37,25 @@ IngestStageStats SummarizeStage(const LatencyHistogram& h) {
   return s;
 }
 
+void CountFlush(FlushReason reason, IngestStats* stats) {
+  switch (reason) {
+    case FlushReason::kFull:
+      ++stats->flushes_full;
+      return;
+    case FlushReason::kAge:
+      ++stats->flushes_age;
+      return;
+    case FlushReason::kQuiet:
+      ++stats->flushes_quiet;
+      return;
+    case FlushReason::kDrain:
+      ++stats->flushes_drain;
+      return;
+    case FlushReason::kNone:
+      return;
+  }
+}
+
 }  // namespace
 
 DeltaPageRankOptions DefaultIngestRankOptions() {
@@ -152,22 +171,22 @@ void IngestService::RunLoop() {
   Status st;
   for (;;) {
     events.clear();
-    const size_t pending = accumulator_.num_events();
-    const size_t room = options_.batch.max_events > pending
-                            ? options_.batch.max_events - pending
-                            : size_t{1};
     const size_t popped =
-        queue_.PopBatch(room, options_.poll_interval, &events);
+        queue_.PopDue(options_.batch, accumulator_.arrivals(), &events);
     for (const UpdateEvent& event : events) accumulator_.Absorb(event);
     const bool draining = queue_.closed() && queue_.depth() == 0;
-    if (!accumulator_.empty() &&
-        (accumulator_.ShouldFlush(std::chrono::steady_clock::now()) ||
-         draining)) {
+    FlushReason reason =
+        accumulator_.DueReason(std::chrono::steady_clock::now());
+    if (reason == FlushReason::kNone && draining && !accumulator_.empty()) {
+      reason = FlushReason::kDrain;
+    }
+    if (reason != FlushReason::kNone) {
       Result<FlushedBatch> flushed = accumulator_.Flush(graph_);
       if (!flushed.ok()) {
         st = flushed.status();
         break;
       }
+      flushed->reason = reason;
       st = ProcessBatch(std::move(flushed).value());
       if (!st.ok()) break;
     }
@@ -280,6 +299,7 @@ IngestService::ExportJob IngestService::MakeExportJob(
     job.delta_changes = batch->delta.num_changes();
     job.delta_added = batch->delta.added.size();
     job.delta_removed = batch->delta.removed.size();
+    job.reason = batch->reason;
     job.enqueue_times = std::move(batch->enqueue_times);
   }
   return job;
@@ -371,6 +391,7 @@ Status IngestService::RunExportJob(ExportJob job) {
     counters_.edge_removes += job.num_removes;
     counters_.visits += job.num_visits;
     counters_.delta_edges_applied += job.delta_changes;
+    CountFlush(job.reason, &counters_);
     servable_sequence_ = std::max(servable_sequence_, job.last_sequence);
     info.first_sequence = job.first_sequence;
     info.last_sequence = job.last_sequence;

@@ -12,8 +12,8 @@
 //     SnapshotStore::PublishOrdered
 //
 // A background consumer thread drains the queue, coalesces events under
-// the BatchPolicy's size/age bounds, and runs each flushed batch through
-// the chain as ONE generation while queries keep flowing against the
+// the BatchPolicy's size/age/quiet triggers (batch_policy.h), and runs
+// each flushed batch through the chain as ONE generation while queries keep flowing against the
 // previous generation (RCU hot-swap; readers are never blocked). With
 // `pipelined` (the default) the chain is split across TWO stage threads
 // double-buffered through a StagePipe: the consumer runs apply + solve
@@ -45,6 +45,12 @@
 // of the fixed point, so the streaming scores match an offline rebuild
 // of the same event stream within the documented drift budget (see
 // DESIGN.md §5f and the ingest oracle test).
+//
+// Wake-ups: the consumer sleeps in UpdateQueue::PopDue until its batch
+// is due — full, past its age or quiet deadline — or the queue closes;
+// producers wake it only when a push changes one of those, so neither a
+// poll nor a per-event wake-up sets how late a flush fires. Each flush
+// is counted by its trigger (IngestStats::flushes_*).
 //
 // Thread model: producers call Enqueue from any thread; Stats(),
 // GenerationLog() and WaitServable() are safe from any thread; the
@@ -106,10 +112,6 @@ struct IngestOptions {
   /// service keeps the column. Defaults: everything in one site 0.
   SiteId num_sites = 1;
   std::function<SiteId(NodeId)> site_of;
-
-  /// Consumer poll granularity while idle; bounds how late an age-based
-  /// flush can fire.
-  std::chrono::nanoseconds poll_interval = std::chrono::milliseconds(2);
 
   /// Publish a generation from the initial graph during Start() (so
   /// queries never see an empty store). Skipped when the initial graph
@@ -178,6 +180,11 @@ struct IngestStats {
   uint64_t rank_node_updates = 0;  // residual pushes
   uint64_t rank_edge_reads = 0;
   uint64_t servable_sequence = 0;  // every event <= this is servable
+  /// Published batches by the trigger that ended them (batch_policy.h).
+  uint64_t flushes_full = 0;
+  uint64_t flushes_age = 0;
+  uint64_t flushes_quiet = 0;
+  uint64_t flushes_drain = 0;
   /// Update-to-servable latency distribution over all events so far.
   uint64_t latency_count = 0;
   double latency_p50_ms = 0.0;
@@ -277,6 +284,7 @@ class IngestService {
     uint64_t delta_changes = 0;
     uint64_t delta_added = 0;
     uint64_t delta_removed = 0;
+    FlushReason reason = FlushReason::kNone;
     std::vector<std::chrono::steady_clock::time_point> enqueue_times;
     double apply_ms = 0.0;
     double solve_ms = 0.0;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/logging.h"
+
 namespace qrank {
 
 const char* UpdateKindName(UpdateKind kind) {
@@ -41,19 +43,53 @@ Status UpdateQueue::Push(UpdateEvent event) {
   event.enqueue_time = std::chrono::steady_clock::now();
   events_.push_back(event);
   max_depth_ = std::max<uint64_t>(max_depth_, events_.size());
+  const bool wake = ShouldWakeLocked();
   lock.Release();
-  not_empty_.NotifyOne();
+  if (wake) not_empty_.NotifyOne();
   return Status::OK();
 }
 
-size_t UpdateQueue::PopBatch(size_t max_events, std::chrono::nanoseconds wait,
-                             std::vector<UpdateEvent>* out) {
+bool UpdateQueue::ShouldWakeLocked() {
+  if (!waiter_.active) return false;
+  if (events_.size() < waiter_.min_depth) {
+    if (waiter_.policy == nullptr) return false;
+    const auto deadline =
+        FlushDeadline(*waiter_.policy, BatchSpanLocked(waiter_.pending));
+    if (deadline >= waiter_.deadline) return false;
+  }
+  // One wake per wait: the consumer re-registers if it sleeps again.
+  waiter_.active = false;
+  return true;
+}
+
+ArrivalSpan UpdateQueue::BatchSpanLocked(const ArrivalSpan& pending) const {
+  ArrivalSpan span = pending;
+  if (!events_.empty()) {
+    // Enqueue times are stamped under mu_, so the deque is time-ordered.
+    span.Merge({events_.size(), events_.front().enqueue_time,
+                events_.back().enqueue_time});
+  }
+  return span;
+}
+
+size_t UpdateQueue::PopWhen(Waiter w, size_t max_events,
+                            std::vector<UpdateEvent>* out) {
   ReleasableMutexLock lock(&mu_);
-  if (events_.empty()) {
-    const auto deadline = std::chrono::steady_clock::now() + wait;
-    while (!closed_ && events_.empty()) {
-      if (not_empty_.WaitUntil(&mu_, deadline)) break;
+  for (;;) {
+    if (closed_ || events_.size() >= w.min_depth) break;
+    if (w.policy != nullptr) {
+      w.deadline = FlushDeadline(*w.policy, BatchSpanLocked(w.pending));
     }
+    if (std::chrono::steady_clock::now() >= w.deadline) break;
+    QRANK_DCHECK(!waiter_.active) << "UpdateQueue: two consumers blocked";
+    waiter_ = w;
+    waiter_.active = true;
+    if (w.deadline == std::chrono::steady_clock::time_point::max()) {
+      not_empty_.Wait(&mu_);
+    } else {
+      not_empty_.WaitUntil(&mu_, w.deadline);
+    }
+    waiter_.active = false;
   }
   const size_t n = std::min(max_events, events_.size());
   for (size_t i = 0; i < n; ++i) {
@@ -67,6 +103,27 @@ size_t UpdateQueue::PopBatch(size_t max_events, std::chrono::nanoseconds wait,
     not_full_.NotifyAll();
   }
   return n;
+}
+
+size_t UpdateQueue::PopBatch(size_t max_events, std::chrono::nanoseconds wait,
+                             std::vector<UpdateEvent>* out) {
+  Waiter w;
+  w.deadline = std::chrono::steady_clock::now() + wait;
+  return PopWhen(w, max_events, out);
+}
+
+size_t UpdateQueue::PopDue(const BatchPolicy& policy,
+                           const ArrivalSpan& pending,
+                           std::vector<UpdateEvent>* out) {
+  const size_t room = policy.max_events > pending.events
+                          ? policy.max_events - pending.events
+                          : size_t{1};
+  Waiter w;
+  // A full queue cannot reach `room`; it is as due as it can get.
+  w.min_depth = std::min(room, options_.capacity);
+  w.policy = &policy;
+  w.pending = pending;
+  return PopWhen(w, room, out);
 }
 
 void UpdateQueue::Close() {

@@ -20,10 +20,18 @@
 // FailedPrecondition while pops keep draining whatever is queued, so a
 // shutdown with a non-empty queue loses nothing.
 //
-// Thread model: any number of producers and consumers (mutex + two
-// condition variables; MPMC-safe, used MPSC by IngestService). Counter
-// conservation (depth == enqueued - dequeued <= capacity) is checkable
-// with the ingest.queue audit validator.
+// Consumer wake-ups. A blocked consumer registers what it waits for —
+// a depth, and a deadline — and Push wakes it only when the push meets
+// the depth or moves the deadline earlier, never once per event. The
+// batching consumer (PopDue) waits for its batch to be due under the
+// BatchPolicy: the batch reaching max_events, the age or quiet
+// deadline of the events it holds plus those still queued, or Close().
+// It sleeps until that deadline instead of polling.
+//
+// Thread model: any number of producers, and one consumer blocked in a
+// pop at a time (mutex + two condition variables; IngestService is
+// MPSC). Counter conservation (depth == enqueued - dequeued <=
+// capacity) is checkable with the ingest.queue audit validator.
 
 #ifndef QRANK_INGEST_UPDATE_QUEUE_H_
 #define QRANK_INGEST_UPDATE_QUEUE_H_
@@ -36,6 +44,7 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "graph/edge_list.h"
+#include "ingest/batch_policy.h"
 
 namespace qrank {
 
@@ -113,6 +122,16 @@ class UpdateQueue {
   size_t PopBatch(size_t max_events, std::chrono::nanoseconds wait,
                   std::vector<UpdateEvent>* out);
 
+  /// The batching consumer's pop. `pending` is the span of the events
+  /// the caller already holds. Blocks until the batch they form with
+  /// the queued events is due under `policy` — it reaches max_events
+  /// (or the queue fills), or its FlushDeadline passes — or the queue
+  /// is closed. Then pops up to max_events - pending.events events (at
+  /// least 1), appending to `*out` in sequence order, and returns how
+  /// many. The caller decides the flush reason from what it then holds.
+  size_t PopDue(const BatchPolicy& policy, const ArrivalSpan& pending,
+                std::vector<UpdateEvent>* out);
+
   /// Closes the queue: wakes every blocked producer (their Push fails)
   /// and consumer. Queued events remain poppable; a shutdown with a
   /// non-empty queue is drained, not dropped. Idempotent.
@@ -123,6 +142,28 @@ class UpdateQueue {
   UpdateQueueStats Stats() const;
 
  private:
+  // What the blocked consumer waits for. Push wakes it once the queue
+  // holds `min_depth` events or, with a batch policy, once the batch's
+  // FlushDeadline moves before `deadline`; a wake clears `active`.
+  struct Waiter {
+    bool active = false;
+    size_t min_depth = 1;
+    const BatchPolicy* policy = nullptr;  // null: fixed deadline
+    ArrivalSpan pending;
+    std::chrono::steady_clock::time_point deadline;
+  };
+
+  /// Blocks until closed, `w.min_depth` queued events, or `w.deadline`
+  /// (recomputed from the batch when `w.policy` is set), then pops up
+  /// to `max_events` events into `*out`.
+  size_t PopWhen(Waiter w, size_t max_events, std::vector<UpdateEvent>* out)
+      QRANK_EXCLUDES(mu_);
+  /// `pending` plus the queued events' span.
+  ArrivalSpan BatchSpanLocked(const ArrivalSpan& pending) const
+      QRANK_REQUIRES(mu_);
+  /// Push-side test: does the event just queued wake the consumer?
+  bool ShouldWakeLocked() QRANK_REQUIRES(mu_);
+
   const UpdateQueueOptions options_;
 
   mutable Mutex mu_;
@@ -134,6 +175,7 @@ class UpdateQueue {
   uint64_t rejected_ QRANK_GUARDED_BY(mu_) = 0;
   uint64_t max_depth_ QRANK_GUARDED_BY(mu_) = 0;
   bool closed_ QRANK_GUARDED_BY(mu_) = false;
+  Waiter waiter_ QRANK_GUARDED_BY(mu_);
 };
 
 }  // namespace qrank

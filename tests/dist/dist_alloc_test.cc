@@ -11,17 +11,14 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <functional>
 #include <memory>
-#include <new>
 #include <string>
 #include <vector>
 
 #include "common/logging.h"
 #include "common/rng.h"
+#include "counting_new.h"
 #include "dist/coordinator.h"
 #include "dist/shard_map.h"
 #include "dist/worker.h"
@@ -29,37 +26,12 @@
 #include "serve/score_bundle.h"
 #include "shard_dir.h"
 
-namespace {
-
-std::atomic<size_t> g_allocations{0};
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
 namespace qrank {
 namespace {
 
 constexpr NodeId kPages = 2000;
 constexpr SiteId kSites = 32;
 constexpr uint32_t kShards = 3;
-
-size_t AllocationsDuring(const std::function<void()>& fn) {
-  const size_t before = g_allocations.load(std::memory_order_relaxed);
-  fn();
-  return g_allocations.load(std::memory_order_relaxed) - before;
-}
 
 TEST(DistAllocTest, SteadyStateQueriesAllocationFreeAfterWarmup) {
   Rng rng(29);

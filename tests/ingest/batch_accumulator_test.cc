@@ -1,9 +1,10 @@
 // BatchAccumulator contract: last-writer-wins coalescing reconciled
 // against the base graph (dedup, add-then-remove cancellation, ghost
-// removes, duplicate adds), exact size/age flush boundaries, visit
-// coalescing — and the property the streaming oracle rests on: the
-// emitted delta is invariant under every permutation of Absorb calls
-// and equals the net of sequential replay.
+// removes, duplicate adds), exact size/age/quiet flush boundaries, the
+// quiet trigger under seeded Poisson and burst traffic on an injected
+// clock, visit coalescing — and the property the streaming oracle
+// rests on: the emitted delta is invariant under every permutation of
+// Absorb calls and equals the net of sequential replay.
 
 #include "ingest/batch_accumulator.h"
 
@@ -15,13 +16,16 @@
 #include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "graph/csr_graph.h"
 #include "graph/edge_list.h"
 
 namespace qrank {
 namespace {
 
+using std::chrono::microseconds;
 using std::chrono::milliseconds;
+using std::chrono::nanoseconds;
 using std::chrono::steady_clock;
 
 CsrGraph MakeGraph(NodeId n, std::vector<Edge> edges) {
@@ -143,6 +147,197 @@ TEST(BatchAccumulatorTest, AgeFlushBoundaryTracksOldestEvent) {
   // Flush resets the age clock along with everything else.
   acc.Absorb(At(UpdateEvent::Visit(2), 3, t0 + milliseconds(60)));
   EXPECT_FALSE(acc.ShouldFlush(t0 + milliseconds(100)));
+}
+
+TEST(BatchAccumulatorTest, QuietFlushBoundaryTracksNewestEvent) {
+  BatchPolicy policy;
+  policy.max_events = 1000;
+  policy.max_age = milliseconds(80);  // quiet floor: 10 ms
+  BatchAccumulator acc(policy);
+  const steady_clock::time_point t0 = steady_clock::now();
+  // Seven events 1 ms apart: one short of the quiet trigger's minimum.
+  for (uint64_t i = 0; i < 7; ++i) {
+    acc.Absorb(At(UpdateEvent::Visit(0), i + 1, t0 + milliseconds(i)));
+  }
+  EXPECT_EQ(acc.DueReason(t0 + milliseconds(79)), FlushReason::kNone);
+  acc.Absorb(At(UpdateEvent::Visit(0), 8, t0 + milliseconds(7)));
+  // Mean gap 1 ms, so the gap is the 10 ms floor, counted from the
+  // newest event.
+  EXPECT_EQ(QuietGap(policy, acc.arrivals()), milliseconds(10));
+  EXPECT_EQ(acc.DueReason(t0 + milliseconds(16)), FlushReason::kNone);
+  EXPECT_EQ(acc.DueReason(t0 + milliseconds(17)), FlushReason::kQuiet);
+  EXPECT_EQ(FlushDeadline(policy, acc.arrivals()), t0 + milliseconds(17));
+  // Age is reported first once it is due too.
+  EXPECT_EQ(acc.DueReason(t0 + milliseconds(80)), FlushReason::kAge);
+}
+
+TEST(BatchAccumulatorTest, QuietGapScalesWithMeanInterArrivalGap) {
+  BatchPolicy policy;
+  policy.max_age = milliseconds(800);  // floor 100 ms
+  BatchAccumulator acc(policy);
+  const steady_clock::time_point t0 = steady_clock::now();
+  for (uint64_t i = 0; i < 9; ++i) {
+    acc.Absorb(At(UpdateEvent::Visit(0), i + 1, t0 + milliseconds(20 * i)));
+  }
+  // Mean gap 20 ms: 8 x 20 = 160 ms beats the 100 ms floor.
+  EXPECT_EQ(QuietGap(policy, acc.arrivals()), milliseconds(160));
+  const steady_clock::time_point newest = t0 + milliseconds(160);
+  EXPECT_FALSE(acc.ShouldFlush(newest + milliseconds(159)));
+  EXPECT_EQ(acc.DueReason(newest + milliseconds(160)), FlushReason::kQuiet);
+}
+
+TEST(BatchAccumulatorTest, HourLongMaxAgeTurnsQuietFlushOff) {
+  BatchPolicy policy;
+  policy.max_events = 1 << 14;
+  policy.max_age = std::chrono::hours(1);
+  BatchAccumulator acc(policy);
+  const steady_clock::time_point t0 = steady_clock::now();
+  for (uint64_t i = 0; i < 500; ++i) {
+    acc.Absorb(At(UpdateEvent::Visit(0), i + 1, t0));
+  }
+  // The quiet floor is max_age / 8 = 450 s: a 100 s silence is not one.
+  EXPECT_FALSE(acc.ShouldFlush(t0 + std::chrono::seconds(100)));
+  EXPECT_EQ(FlushDeadline(policy, acc.arrivals()),
+            t0 + std::chrono::seconds(450));
+}
+
+TEST(BatchAccumulatorTest, FlushDeadlineSaturatesInsteadOfOverflowing) {
+  BatchPolicy policy;
+  policy.max_age = nanoseconds::max();
+  BatchAccumulator acc(policy);
+  EXPECT_EQ(FlushDeadline(policy, acc.arrivals()),
+            steady_clock::time_point::max());  // empty: never
+  acc.Absorb(At(UpdateEvent::Visit(0), 1, steady_clock::now()));
+  EXPECT_EQ(FlushDeadline(policy, acc.arrivals()),
+            steady_clock::time_point::max());
+}
+
+// Flush-rule traffic tests on an injected clock. A trace is a sorted
+// list of arrival times; Replay feeds it through an accumulator the way
+// the consumer does — a batch due before the next arrival flushes at
+// its FlushDeadline, a full batch flushes on its last event — and
+// records every flush.
+struct TraceFlush {
+  FlushReason reason;
+  steady_clock::time_point at;
+  uint64_t events;
+};
+
+std::vector<TraceFlush> Replay(const BatchPolicy& policy,
+                               const std::vector<nanoseconds>& trace) {
+  const steady_clock::time_point t0{};
+  BatchAccumulator acc(policy);
+  const CsrGraph base = MakeGraph(1, {});
+  std::vector<TraceFlush> flushes;
+  auto flush = [&](FlushReason reason, steady_clock::time_point at) {
+    flushes.push_back({reason, at, acc.num_events()});
+    EXPECT_TRUE(acc.Flush(base).ok());
+  };
+  uint64_t sequence = 0;
+  for (const nanoseconds& offset : trace) {
+    const steady_clock::time_point t = t0 + offset;
+    if (acc.ShouldFlush(t)) {
+      const steady_clock::time_point at =
+          FlushDeadline(policy, acc.arrivals());
+      flush(acc.DueReason(at), at);
+    }
+    acc.Absorb(At(UpdateEvent::Visit(0), ++sequence, t));
+    if (acc.DueReason(t) == FlushReason::kFull) flush(FlushReason::kFull, t);
+  }
+  if (!acc.empty()) {
+    const steady_clock::time_point at = FlushDeadline(policy, acc.arrivals());
+    flush(acc.DueReason(at), at);
+  }
+  return flushes;
+}
+
+// The same trace under the size and age triggers alone.
+size_t SizeAgeFlushes(const BatchPolicy& policy,
+                      const std::vector<nanoseconds>& trace) {
+  size_t flushes = 0;
+  size_t held = 0;
+  nanoseconds oldest{};
+  for (const nanoseconds& t : trace) {
+    if (held > 0 && t - oldest >= policy.max_age) {
+      ++flushes;
+      held = 0;
+    }
+    if (held++ == 0) oldest = t;
+    if (held == policy.max_events) {
+      ++flushes;
+      held = 0;
+    }
+  }
+  return flushes + (held > 0 ? 1 : 0);
+}
+
+TEST(BatchAccumulatorTrafficTest, PoissonStreamsRarelyEndBatchesEarly) {
+  BatchPolicy policy;
+  policy.max_events = 4096;
+  policy.max_age = milliseconds(50);
+  for (const double rate : {1.0, 10.0, 100.0, 1e3, 1e4, 1e5}) {
+    Rng rng(static_cast<uint64_t>(rate) + 17);
+    // Enough events for hundreds of batches at every rate.
+    const size_t n = static_cast<size_t>(std::min(rate * 1000.0, 200000.0));
+    std::vector<nanoseconds> trace;
+    trace.reserve(n);
+    double t_s = 0.0;
+    for (size_t i = 0; i < n; ++i) {
+      t_s += rng.Exponential(rate);
+      trace.push_back(nanoseconds(static_cast<int64_t>(t_s * 1e9)));
+    }
+    const std::vector<TraceFlush> flushes = Replay(policy, trace);
+    const size_t baseline = SizeAgeFlushes(policy, trace);
+    size_t quiet = 0;
+    for (const TraceFlush& f : flushes) {
+      quiet += f.reason == FlushReason::kQuiet ? 1 : 0;
+    }
+    EXPECT_LE(static_cast<double>(flushes.size()),
+              1.05 * static_cast<double>(baseline))
+        << rate << " events/s: " << flushes.size() << " flushes (" << quiet
+        << " quiet) vs " << baseline << " under size/age alone";
+  }
+}
+
+TEST(BatchAccumulatorTrafficTest, BurstFlushesAsOneBatchSoonAfterItEnds) {
+  BatchPolicy policy;
+  policy.max_events = 4096;
+  policy.max_age = milliseconds(50);
+  Rng rng(4096);
+  std::vector<nanoseconds> trace;
+  std::vector<std::pair<nanoseconds, size_t>> bursts;  // (last event, size)
+  nanoseconds start{};
+  for (size_t size = 8; size <= 4096; size *= 2) {
+    for (int rep = 0; rep < 3; ++rep) {
+      // `size` arrivals spread at random over at most 5 ms.
+      std::vector<nanoseconds> burst;
+      for (size_t i = 0; i < size; ++i) {
+        burst.push_back(
+            start + nanoseconds(static_cast<int64_t>(rng.UniformUint64(
+                        static_cast<uint64_t>(milliseconds(5).count())))));
+      }
+      std::sort(burst.begin(), burst.end());
+      trace.insert(trace.end(), burst.begin(), burst.end());
+      bursts.push_back({burst.back(), size});
+      // At least 100 ms of silence before the next burst.
+      start = burst.back() + milliseconds(100) +
+              microseconds(rng.UniformUint64(50000));
+    }
+  }
+  const std::vector<TraceFlush> flushes = Replay(policy, trace);
+  ASSERT_EQ(flushes.size(), bursts.size());
+  const steady_clock::time_point t0{};
+  for (size_t i = 0; i < bursts.size(); ++i) {
+    const auto& [last, size] = bursts[i];
+    EXPECT_EQ(flushes[i].events, size) << "burst " << i;
+    EXPECT_LE(flushes[i].at,
+              t0 + last + policy.max_age / 8 + milliseconds(1))
+        << "burst " << i << " of " << size << " events";
+    EXPECT_EQ(flushes[i].reason,
+              size == policy.max_events ? FlushReason::kFull
+                                        : FlushReason::kQuiet)
+        << "burst " << i;
+  }
 }
 
 TEST(BatchAccumulatorTest, FlushOfEmptyBatchFails) {

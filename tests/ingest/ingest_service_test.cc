@@ -332,7 +332,8 @@ TEST(IngestServiceTest, PipelinedFinalImageMatchesSerialByteForByte) {
     options.export_parallel.num_threads = pipelined ? 4 : 1;
     options.rank.base.num_threads = pipelined ? 4 : 1;
     options.batch.max_events = 1 << 14;     // single Stop-drain batch:
-    options.batch.max_age = seconds(3600);  // identical windows both runs
+    options.batch.max_age = seconds(3600);  // no age or quiet flush:
+                                            // identical windows both runs
     options.observation_window = 3;
     options.keep_last_image = true;
     auto service = IngestService::Create(seed, &store, options).value();
@@ -362,6 +363,35 @@ TEST(IngestServiceTest, PipelinedFinalImageMatchesSerialByteForByte) {
   EXPECT_EQ(pipelined_image, serial_image);
 }
 
+// A 500-event burst, far under max_events, with a 10 s max_age: only
+// the quiet trigger (a silence of max_age / 8 = 1.25 s) can end it
+// before the age deadline, and only a consumer that sleeps until that
+// deadline, rather than waiting for an age flush, publishes it within
+// 2 s.
+TEST(IngestServiceTest, BurstBecomesServableOnQuietFlush) {
+  SnapshotStore store;
+  IngestOptions options;
+  options.batch.max_age = seconds(10);
+  auto service = IngestService::Create(SeedGraph(), &store, options).value();
+  ASSERT_TRUE(service->Start().ok());
+  const auto start = std::chrono::steady_clock::now();
+  Rng rng(500);
+  for (int i = 0; i < 500; ++i) {
+    const NodeId u = static_cast<NodeId>(rng.NextUint64() % 150);
+    const NodeId v = static_cast<NodeId>(rng.NextUint64() % 150);
+    ASSERT_TRUE((i % 2 == 0 ? service->EnqueueEdgeAdd(u, v)
+                            : service->EnqueueVisit(u))
+                    .ok());
+  }
+  ASSERT_TRUE(service->WaitServable(500, seconds(2)));
+  EXPECT_LT(std::chrono::steady_clock::now() - start, seconds(2));
+  const IngestStats stats = service->Stats();
+  EXPECT_EQ(stats.batches, 1u);
+  EXPECT_EQ(stats.flushes_quiet, 1u);
+  EXPECT_EQ(stats.flushes_full + stats.flushes_age + stats.flushes_drain, 0u);
+  ASSERT_TRUE(service->Stop().ok());
+}
+
 class IngestServiceDrainTest : public ::testing::TestWithParam<bool> {};
 
 TEST_P(IngestServiceDrainTest, ShutdownWithBacklogDrainsEverything) {
@@ -369,7 +399,7 @@ TEST_P(IngestServiceDrainTest, ShutdownWithBacklogDrainsEverything) {
   IngestOptions options;
   options.pipelined = GetParam();
   options.batch.max_events = 1 << 14;      // size flush unreachable
-  options.batch.max_age = seconds(3600);   // age flush unreachable
+  options.batch.max_age = seconds(3600);   // age and quiet unreachable
   auto service = IngestService::Create(SeedGraph(), &store, options).value();
   ASSERT_TRUE(service->Start().ok());
   for (int i = 0; i < 500; ++i) {
@@ -384,6 +414,7 @@ TEST_P(IngestServiceDrainTest, ShutdownWithBacklogDrainsEverything) {
   EXPECT_EQ(stats.events_processed, 500u);
   EXPECT_EQ(stats.queue.depth, 0u);
   ExpectContiguousCoverage(service->GenerationLog(), 500);
+  EXPECT_EQ(stats.flushes_drain, 1u);
   // Per-stage histograms saw every generation (initial one included, so
   // count = batches + 1) and agree with one another.
   EXPECT_GE(stats.stage_export.count, 2u);

@@ -1,7 +1,8 @@
-// UpdateQueue contract: sequence stamping, FIFO batch pops, both
-// backpressure policies, drain-on-close, and the MPSC stress the TSan
-// job runs — 4 producers x 10k events against a batching consumer with
-// full counter-conservation accounting at the end.
+// UpdateQueue contract: sequence stamping, FIFO batch pops, the
+// batching consumer's due-time pop, both backpressure policies,
+// drain-on-close, and the MPSC stress the TSan job runs — 4 producers
+// x 10k events against a batching consumer with full
+// counter-conservation accounting at the end.
 
 #include "ingest/update_queue.h"
 
@@ -148,6 +149,57 @@ TEST(UpdateQueueTest, CloseWithBacklogDrainsEverything) {
   EXPECT_TRUE(AuditIngestQueue(stats.capacity, stats.depth, stats.enqueued,
                                stats.dequeued, stats.rejected)
                   .ok());
+}
+
+// The batching consumer's pop returns when the batch is due, not per
+// event: at once when the queue fills the batch's room; a quiet gap
+// after a burst pushed while it sleeps (Push must move its deadline
+// from "never" to the burst's); and on Close.
+TEST(UpdateQueueTest, PopDueWaitsForRoomQuietDeadlineOrClose) {
+  using std::chrono::steady_clock;
+  BatchPolicy policy;
+  policy.max_events = 4;
+  policy.max_age = std::chrono::hours(1);
+  std::vector<UpdateEvent> out;
+  {
+    UpdateQueue queue;
+    for (NodeId i = 0; i < 6; ++i) {
+      ASSERT_TRUE(queue.Push(UpdateEvent::Visit(i)).ok());
+    }
+    ArrivalSpan pending;  // the caller already holds one event
+    pending.Add(steady_clock::now());
+    EXPECT_EQ(queue.PopDue(policy, pending, &out), 3u);
+    EXPECT_EQ(queue.depth(), 3u);
+  }
+  {
+    policy.max_events = 100;
+    policy.max_age = milliseconds(400);  // quiet gap 50 ms
+    UpdateQueue queue;
+    steady_clock::time_point pushed;
+    std::thread producer([&] {
+      std::this_thread::sleep_for(milliseconds(10));
+      for (NodeId i = 0; i < 8; ++i) {
+        ASSERT_TRUE(queue.Push(UpdateEvent::Visit(i)).ok());
+      }
+      pushed = steady_clock::now();
+    });
+    out.clear();
+    EXPECT_EQ(queue.PopDue(policy, ArrivalSpan{}, &out), 8u);
+    const steady_clock::time_point popped = steady_clock::now();
+    producer.join();
+    EXPECT_GE(popped - pushed, milliseconds(45));
+    EXPECT_LT(popped - pushed, milliseconds(350));  // well before age
+  }
+  {
+    UpdateQueue queue;
+    std::thread closer([&] {
+      std::this_thread::sleep_for(milliseconds(10));
+      queue.Close();
+    });
+    out.clear();
+    EXPECT_EQ(queue.PopDue(policy, ArrivalSpan{}, &out), 0u);
+    closer.join();
+  }
 }
 
 // The stress the TSan job is for: 4 producers x 10k events racing a

@@ -13,39 +13,17 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <functional>
-#include <new>
 #include <vector>
 
 #include "common/rng.h"
+#include "counting_new.h"
 #include "graph/generators.h"
 #include "graph/graph_delta.h"
 #include "rank/delta_pagerank.h"
 #include "rank/pagerank.h"
 #include "rank/pagerank_kernel.h"
 #include "rank/residual_push.h"
-
-namespace {
-
-std::atomic<size_t> g_allocations{0};
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace qrank {
 namespace {
@@ -63,12 +41,6 @@ PageRankOptions UnconvergedOptions(uint32_t iterations) {
   o.tolerance = 1e-300;  // never met: every run spends max_iterations
   o.num_threads = 1;
   return o;
-}
-
-size_t AllocationsDuring(const std::function<void()>& fn) {
-  const size_t before = g_allocations.load(std::memory_order_relaxed);
-  fn();
-  return g_allocations.load(std::memory_order_relaxed) - before;
 }
 
 // Constructs a kernel under `o` (construction may allocate and builds

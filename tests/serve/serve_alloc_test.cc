@@ -5,43 +5,21 @@
 // bounded heap, the result slots, and the epoch-stamped dedup array are
 // all reused, and the store-backed path revalidates a cached pin with
 // one atomic generation load, never allocating. The
-// test instruments the global allocator (the kernel_alloc_test harness)
+// test instruments the global allocator (tests/common/counting_new.h)
 // and proves long query sequences — every blend mode, site filters,
 // exploration, and store-backed acquires — allocate nothing.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <functional>
-#include <new>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "counting_new.h"
 #include "serve/query_engine.h"
 #include "serve/score_bundle.h"
 #include "serve/snapshot_store.h"
-
-namespace {
-
-std::atomic<size_t> g_allocations{0};
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace qrank {
 namespace {
@@ -67,12 +45,6 @@ const LoadedBundle& Bundle() {
         .value();
   }();
   return b;
-}
-
-size_t AllocationsDuring(const std::function<void()>& fn) {
-  const size_t before = g_allocations.load(std::memory_order_relaxed);
-  fn();
-  return g_allocations.load(std::memory_order_relaxed) - before;
 }
 
 TEST(ServeAllocTest, TopKOnBundleAllocationFreeAfterWarmup) {

@@ -229,6 +229,10 @@ int CmdDrive(const DriveConfig& cfg, const DriveOutcome& outcome) {
   std::printf("batches         %" PRIu64 " -> %" PRIu64
               " generations (net delta edges %" PRIu64 ")\n",
               s.batches, s.generations, s.delta_edges_applied);
+  std::printf("flushes         full %" PRIu64 ", age %" PRIu64
+              ", quiet %" PRIu64 ", drain %" PRIu64 "\n",
+              s.flushes_full, s.flushes_age, s.flushes_quiet,
+              s.flushes_drain);
   std::printf("solver          %" PRIu64 " pushes, %" PRIu64
               " edge reads\n",
               s.rank_node_updates, s.rank_edge_reads);
