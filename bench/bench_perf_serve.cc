@@ -9,7 +9,10 @@
 // stopping depth — are the ones the serving layer actually sees.
 //
 // Suites:
-//   BM_BundleWrite         source -> writer -> image (pages/s)
+//   BM_BundlePublish       source -> writer -> published LoadedBundle,
+//                          the in-process path (pages/s)
+//   BM_BundleWrite         source -> writer -> image with CRCs, the
+//                          file/wire path (pages/s)
 //   BM_BundleLoad          image -> validated LoadedBundle (pages/s)
 //   BM_TopK/alpha:*        single-thread QPS per blend mode
 //   BM_TopKSite/*          per-site filtered queries (site rotates)
@@ -138,9 +141,23 @@ void ReportQps(benchmark::State& state) {
                          benchmark::Counter::kIsRate);
 }
 
-// The writer: score-order sorts, site postings, section copies and
-// payload CRC over the 131k source (the export stage of a generation,
-// minus the estimator). The per-iteration source copy is timed too.
+// The in-process publish: the writer's image build (column copies,
+// score-order sorts, site postings) adopted by a LoadedBundle with no
+// copy and no CRC — the export stage of an ingest generation, minus
+// the estimator. The per-iteration source copy is timed too.
+void BM_BundlePublish(benchmark::State& state) {
+  const ScoreBundleSource source = MakeSource(7);
+  for (auto _ : state) {
+    auto bundle = ScoreBundleWriter::Create(source).value().Publish();
+    benchmark::DoNotOptimize(bundle.value().num_pages());
+  }
+  state.counters["pages/s"] = benchmark::Counter(
+      static_cast<double>(source.quality.size()),
+      benchmark::Counter::kIsIterationInvariantRate);
+}
+
+// The file/wire path: the same build plus the Serialize() copy and its
+// payload CRC. The per-iteration source copy is timed too.
 void BM_BundleWrite(benchmark::State& state) {
   const ScoreBundleSource source = MakeSource(7);
   for (auto _ : state) {
@@ -445,6 +462,7 @@ void RegisterAll() {
   const auto us = [](benchmark::internal::Benchmark* b) {
     b->Unit(benchmark::kMicrosecond)->UseRealTime();
   };
+  us(benchmark::RegisterBenchmark("BM_BundlePublish", BM_BundlePublish));
   us(benchmark::RegisterBenchmark("BM_BundleWrite", BM_BundleWrite));
   us(benchmark::RegisterBenchmark("BM_BundleLoad", BM_BundleLoad));
   for (int alpha : {100, 50, 0}) {

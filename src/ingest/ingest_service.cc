@@ -331,8 +331,9 @@ Status IngestService::RunExportJob(ExportJob job) {
         ComputeWindowQuality(job.window, options_.estimator));
     t_estimate = std::chrono::steady_clock::now();
 
-    // Export stage: writer build (parallel sorts/postings), serialize
-    // (parallel section copy + CRC), publish-side revalidation.
+    // Export stage: the writer builds the image (parallel sorts and
+    // postings) and publishes it in process without a copy; the CRCs
+    // are paid only for a kept image.
     ScoreBundleSource source;
     source.quality = std::move(quality);
     source.pagerank = *job.window.back();
@@ -348,11 +349,8 @@ Status IngestService::RunExportJob(ExportJob job) {
     QRANK_ASSIGN_OR_RETURN(
         ScoreBundleWriter writer,
         ScoreBundleWriter::Create(std::move(source), options_.export_parallel));
-    std::vector<uint8_t> image = writer.Serialize();
-    if (options_.keep_last_image) kept_image = image;
-    QRANK_ASSIGN_OR_RETURN(
-        LoadedBundle bundle,
-        LoadedBundle::FromBuffer(std::move(image), options_.export_parallel));
+    if (options_.keep_last_image) kept_image = writer.Serialize();
+    QRANK_ASSIGN_OR_RETURN(LoadedBundle bundle, std::move(writer).Publish());
     t_export = std::chrono::steady_clock::now();
 
     // Publish stage: the ordered hot-swap.

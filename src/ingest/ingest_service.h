@@ -132,9 +132,9 @@ struct IngestOptions {
   /// scratch oracle checks in both modes.
   bool pipelined = true;
 
-  /// Executor width for the export stage's parallel sort / postings /
-  /// CRC work (ScoreBundleWriter) and the publish-side revalidation.
-  /// Bundle bytes are identical for every value.
+  /// Executor width for the export stage's parallel sorts and postings
+  /// (ScoreBundleWriter), and for the kept image's CRC. Bundle bytes
+  /// are identical for every value.
   ParallelOptions export_parallel;
 };
 
@@ -197,7 +197,7 @@ struct IngestStats {
   IngestStageStats stage_apply;     // audit + ApplyDelta
   IngestStageStats stage_solve;     // residual push + window append
   IngestStageStats stage_estimate;  // Eq-1 estimator over the window
-  IngestStageStats stage_export;    // writer build + serialize + revalidate
+  IngestStageStats stage_export;    // writer build + in-process publish
   IngestStageStats stage_publish;   // PublishOrdered + accounting
 };
 

@@ -11,12 +11,18 @@
 #include <cmath>
 #include <cstring>
 #include <fstream>
+#include <iterator>
+#include <memory>
 #include <numeric>
 #include <utility>
+
+#include "common/logging.h"
 
 namespace qrank {
 
 namespace {
+
+constexpr int kAuditLevel = QRANK_AUDIT_LEVEL;
 
 // Fixed chunking for the export-side parallel passes. Like every grain
 // in the parallel substrate, these shape the block boundaries and hence
@@ -38,12 +44,12 @@ inline uint64_t DescendingKey(double score) {
 // ascending, so ties keep ascending row ids: the order std::sort gives
 // under the (score desc, row asc) comparator, at any thread count. A
 // pass whose digit is the same for every row would move nothing and is
-// skipped. `rows` and `row_scratch` hold score.size() entries and are
-// allocated by the caller; on return `rows` holds the order (the two
-// may have been swapped).
-void SortRowsByScoreDescending(const std::vector<double>& score,
-                               std::vector<NodeId>* rows,
-                               std::vector<NodeId>* row_scratch) {
+// skipped. The passes that run are known once the digits are counted,
+// so the first scatters straight from the ascending rows and the
+// buffers ping-pong such that the last lands in `rows`. `rows` and
+// `row_scratch` each hold score.size() entries.
+void SortRowsByScoreDescending(std::span<const double> score, NodeId* rows,
+                               NodeId* row_scratch) {
   constexpr int kDigitBits = 11;
   constexpr int kDigits = (64 + kDigitBits - 1) / kDigitBits;
   constexpr size_t kBuckets = size_t{1} << kDigitBits;
@@ -51,29 +57,37 @@ void SortRowsByScoreDescending(const std::vector<double>& score,
   uint32_t counts[kDigits][kBuckets] = {};
   for (size_t i = 0; i < n; ++i) {
     const uint64_t key = DescendingKey(score[i]);
-    (*rows)[i] = static_cast<NodeId>(i);
     for (int d = 0; d < kDigits; ++d) {
       ++counts[d][(key >> (d * kDigitBits)) & (kBuckets - 1)];
     }
   }
   const uint64_t first_key = DescendingKey(score[0]);
+  int digits[kDigits];
+  int passes = 0;
   for (int d = 0; d < kDigits; ++d) {
-    const int shift = d * kDigitBits;
-    uint32_t* next = counts[d];
-    if (next[(first_key >> shift) & (kBuckets - 1)] == n) continue;
+    const size_t first = (first_key >> (d * kDigitBits)) & (kBuckets - 1);
+    if (counts[d][first] != n) digits[passes++] = d;
+  }
+  if (passes == 0) {
+    std::iota(rows, rows + n, NodeId{0});
+    return;
+  }
+  NodeId* out = passes % 2 == 1 ? rows : row_scratch;
+  NodeId* in = out == rows ? row_scratch : rows;
+  for (int p = 0; p < passes; ++p) {
+    const int shift = digits[p] * kDigitBits;
+    uint32_t* next = counts[digits[p]];
     uint32_t start = 0;
     for (size_t b = 0; b < kBuckets; ++b) {
       const uint32_t count = next[b];
       next[b] = start;
       start += count;
     }
-    const NodeId* in = rows->data();
-    NodeId* out = row_scratch->data();
     for (size_t i = 0; i < n; ++i) {
-      const NodeId row = in[i];
+      const NodeId row = p == 0 ? static_cast<NodeId>(i) : in[i];
       out[next[(DescendingKey(score[row]) >> shift) & (kBuckets - 1)]++] = row;
     }
-    rows->swap(*row_scratch);
+    std::swap(in, out);
   }
 }
 
@@ -110,29 +124,28 @@ uint32_t ParallelBundleCrc32(const uint8_t* data, size_t len,
 // into those windows. Concatenating the blocks in order reproduces the
 // global quality order within each site — byte-identical to the serial
 // single-cursor walk.
-void BuildSitePostings(const std::vector<SiteId>& site_ids, SiteId num_sites,
-                       const std::vector<NodeId>& order_by_quality,
-                       std::vector<uint32_t>* site_offsets,
-                       std::vector<NodeId>* site_pages,
+void BuildSitePostings(std::span<const SiteId> site_ids,
+                       std::span<const NodeId> order_by_quality,
+                       std::span<uint32_t> site_offsets,
+                       std::span<NodeId> site_pages,
                        ParallelOptions parallel) {
   const size_t n = order_by_quality.size();
-  site_offsets->assign(static_cast<size_t>(num_sites) + 1, 0);
-  for (SiteId s : site_ids) ++(*site_offsets)[s + 1];
-  for (size_t s = 1; s < site_offsets->size(); ++s) {
-    (*site_offsets)[s] += (*site_offsets)[s - 1];
+  const size_t num_sites = site_offsets.size() - 1;
+  std::fill(site_offsets.begin(), site_offsets.end(), 0);
+  for (SiteId s : site_ids) ++site_offsets[s + 1];
+  for (size_t s = 1; s < site_offsets.size(); ++s) {
+    site_offsets[s] += site_offsets[s - 1];
   }
-  site_pages->resize(n);
 
   const size_t blocks = NumBlocks(n, kRowGrain);
   // The scan is O(blocks * num_sites); fall back to the serial walk
   // when the histogram would dwarf the rows themselves. The decision
   // depends only on (n, num_sites), never on the thread count.
   if (ResolveThreads(parallel.num_threads) <= 1 || blocks <= 1 ||
-      blocks * static_cast<size_t>(num_sites) > n) {
-    std::vector<uint32_t> cursor(site_offsets->begin(),
-                                 site_offsets->end() - 1);
+      blocks * num_sites > n) {
+    std::vector<uint32_t> cursor(site_offsets.begin(), site_offsets.end() - 1);
     for (NodeId row : order_by_quality) {
-      (*site_pages)[cursor[site_ids[row]]++] = row;
+      site_pages[cursor[site_ids[row]]++] = row;
     }
     return;
   }
@@ -145,8 +158,8 @@ void BuildSitePostings(const std::vector<SiteId>& site_ids, SiteId num_sites,
         for (size_t i = lo; i < hi; ++i) ++mine[site_ids[order_by_quality[i]]];
       },
       parallel);
-  for (SiteId s = 0; s < num_sites; ++s) {
-    uint32_t acc = (*site_offsets)[s];
+  for (size_t s = 0; s < num_sites; ++s) {
+    uint32_t acc = site_offsets[s];
     for (size_t b = 0; b < blocks; ++b) {
       uint32_t& slot = cursors[b * num_sites + s];
       const uint32_t count = slot;
@@ -160,7 +173,7 @@ void BuildSitePostings(const std::vector<SiteId>& site_ids, SiteId num_sites,
         uint32_t* mine = cursors.data() + (lo / kRowGrain) * num_sites;
         for (size_t i = lo; i < hi; ++i) {
           const NodeId row = order_by_quality[i];
-          (*site_pages)[mine[site_ids[row]]++] = row;
+          site_pages[mine[site_ids[row]]++] = row;
         }
       },
       parallel);
@@ -196,14 +209,12 @@ Result<ScoreBundleWriter> ScoreBundleWriter::Create(ScoreBundleSource source,
                                      "] is not finite and non-negative");
     }
   }
-  if (source.page_ids.empty()) {
-    source.page_ids.resize(n);
-    std::iota(source.page_ids.begin(), source.page_ids.end(), NodeId{0});
-  } else if (source.page_ids.size() != n) {
+  // Empty page_ids / site_ids default to the identity and to site 0;
+  // both are written straight into their sections below.
+  if (!source.page_ids.empty() && source.page_ids.size() != n) {
     return Status::InvalidArgument("page_ids size disagrees with pages");
   }
   if (source.site_ids.empty()) {
-    source.site_ids.assign(n, SiteId{0});
     if (source.num_sites == 0) source.num_sites = 1;
   } else if (source.site_ids.size() != n) {
     return Status::InvalidArgument("site_ids size disagrees with pages");
@@ -212,7 +223,7 @@ Result<ScoreBundleWriter> ScoreBundleWriter::Create(ScoreBundleSource source,
     source.num_sites =
         *std::max_element(source.site_ids.begin(), source.site_ids.end()) + 1;
   }
-  for (size_t i = 0; i < n; ++i) {
+  for (size_t i = 0; i < source.site_ids.size(); ++i) {
     if (source.site_ids[i] >= source.num_sites) {
       return Status::InvalidArgument(
           "site_ids[" + std::to_string(i) + "] = " +
@@ -229,116 +240,155 @@ Result<ScoreBundleWriter> ScoreBundleWriter::Create(ScoreBundleSource source,
   }
 
   ScoreBundleWriter w;
-  w.source_ = std::move(source);
   w.parallel_ = parallel;
-  // The two score columns sort side by side, one serial radix sort per
-  // block. Every buffer is sized here, on the calling thread, so no
-  // pool thread allocates; site_pages_ is the quality column's row
-  // scratch until BuildSitePostings overwrites it.
-  w.order_by_quality_.resize(n);
-  w.order_by_pagerank_.resize(n);
-  w.site_pages_.resize(n);
-  std::vector<NodeId> pagerank_scratch(n);
-  ParallelOptions columns = parallel;
-  columns.grain = 1;
-  ParallelForBlocks(
-      2,
-      [&](size_t lo, size_t hi) {
-        for (size_t column = lo; column < hi; ++column) {
-          if (column == 0) {
-            SortRowsByScoreDescending(w.source_.quality, &w.order_by_quality_,
-                                      &w.site_pages_);
-          } else {
-            SortRowsByScoreDescending(w.source_.pagerank,
-                                      &w.order_by_pagerank_,
-                                      &pagerank_scratch);
-          }
-        }
-      },
-      columns);
-  BuildSitePostings(w.source_.site_ids, w.source_.num_sites,
-                    w.order_by_quality_, &w.site_offsets_, &w.site_pages_,
-                    parallel);
-  return w;
-}
-
-std::vector<uint8_t> ScoreBundleWriter::Serialize() const {
-  struct Section {
-    uint32_t id;
-    const void* data;
-    uint64_t size;
-  };
-  const uint64_t n = num_pages();
-  const Section sections[] = {
-      {kBundleQuality, source_.quality.data(), n * 8},
-      {kBundlePageRank, source_.pagerank.data(), n * 8},
-      {kBundlePageIds, source_.page_ids.data(), n * 4},
-      {kBundleSiteIds, source_.site_ids.data(), n * 4},
-      {kBundleOrderByQuality, order_by_quality_.data(), n * 4},
-      {kBundleOrderByPageRank, order_by_pagerank_.data(), n * 4},
-      {kBundleSiteOffsets, site_offsets_.data(),
-       (uint64_t{num_sites()} + 1) * 4},
-      {kBundleSitePages, site_pages_.data(), n * 4},
-  };
-
-  BundleHeader header = {};
+  BundleHeader& header = w.header_;
   std::memcpy(header.magic, kBundleMagic, sizeof(kBundleMagic));
   header.version = kBundleVersion;
   header.header_bytes = sizeof(BundleHeader);
   header.section_count = kBundleSectionCount;
-  header.num_pages = num_pages();
-  header.num_sites = num_sites();
-  header.expected_mass = source_.expected_mass;
-  header.creator_tag = source_.creator_tag;
+  header.num_pages = static_cast<NodeId>(n);
+  header.num_sites = source.num_sites;
+  header.expected_mass = source.expected_mass;
+  header.creator_tag = source.creator_tag;
 
-  // Lay out the section table, then 64-aligned payloads.
+  // Lay out the section table (sections in id order), then 64-aligned
+  // payloads.
   BundleSectionEntry table[kBundleSectionCount] = {};
   uint64_t cursor = BundleTableEnd(header);
-  for (size_t i = 0; i < kBundleSectionCount; ++i) {
+  for (uint32_t i = 0; i < kBundleSectionCount; ++i) {
+    const uint32_t id = kBundleQuality + i;
     cursor = (cursor + kBundleSectionAlign - 1) / kBundleSectionAlign *
              kBundleSectionAlign;
-    table[i].id = sections[i].id;
+    table[i].id = id;
     table[i].offset = cursor;
-    table[i].size = sections[i].size;
-    cursor += sections[i].size;
+    table[i].size = BundleExpectedSectionSize(id, n, header.num_sites);
+    cursor += table[i].size;
   }
+  w.image_size_ = static_cast<size_t>(cursor);
+  w.image_ = std::make_unique_for_overwrite<uint8_t[]>(w.image_size_);
+  uint8_t* const image = w.image_.get();
+  std::memcpy(image, &header, sizeof(header));
+  std::memcpy(image + sizeof(header), table, sizeof(table));
+  uint64_t padding = BundleTableEnd(header);
+  for (const BundleSectionEntry& e : table) {
+    std::memset(image + padding, 0, static_cast<size_t>(e.offset - padding));
+    padding = e.offset + e.size;
+  }
+  const auto section = [&](uint32_t id) {
+    return image + table[id - kBundleQuality].offset;
+  };
+  NodeId* const order_by_quality =
+      reinterpret_cast<NodeId*>(section(kBundleOrderByQuality));
+  NodeId* const order_by_pagerank =
+      reinterpret_cast<NodeId*>(section(kBundleOrderByPageRank));
+  NodeId* const site_pages =
+      reinterpret_cast<NodeId*>(section(kBundleSitePages));
+  SiteId* const site_ids = reinterpret_cast<SiteId*>(section(kBundleSiteIds));
 
-  // Zero-initializing the full image up front keeps the alignment
-  // padding zeroed (as the incremental append did) and lets the
-  // section payloads land via disjoint parallel memcpys.
-  std::vector<uint8_t> image(cursor, 0);
-  std::memcpy(image.data() + sizeof(BundleHeader), table, sizeof(table));
-  ParallelOptions section_opts = parallel_;
-  section_opts.grain = 1;  // one section per block
+  // Six tasks, one block each: the two score-order sorts (claimed
+  // first, the longest) beside the four column writes. Every buffer is
+  // sized here, on the calling thread, so no pool thread allocates;
+  // site_pages is the quality sort's scratch until BuildSitePostings
+  // overwrites it.
+  const auto pagerank_scratch = std::make_unique_for_overwrite<NodeId[]>(n);
+  ParallelOptions tasks = parallel;
+  tasks.grain = 1;
   ParallelForBlocks(
-      kBundleSectionCount,
+      6,
       [&](size_t lo, size_t hi) {
-        for (size_t i = lo; i < hi; ++i) {
-          std::memcpy(image.data() + table[i].offset, sections[i].data,
-                      static_cast<size_t>(sections[i].size));
+        for (size_t task = lo; task < hi; ++task) {
+          switch (task) {
+            case 0:
+              SortRowsByScoreDescending(source.quality, order_by_quality,
+                                        site_pages);
+              break;
+            case 1:
+              SortRowsByScoreDescending(source.pagerank, order_by_pagerank,
+                                        pagerank_scratch.get());
+              break;
+            case 2:
+              std::memcpy(section(kBundleQuality), source.quality.data(),
+                          n * sizeof(double));
+              break;
+            case 3:
+              std::memcpy(section(kBundlePageRank), source.pagerank.data(),
+                          n * sizeof(double));
+              break;
+            case 4: {
+              NodeId* const page_ids =
+                  reinterpret_cast<NodeId*>(section(kBundlePageIds));
+              if (source.page_ids.empty()) {
+                std::iota(page_ids, page_ids + n, NodeId{0});
+              } else {
+                std::memcpy(page_ids, source.page_ids.data(),
+                            n * sizeof(NodeId));
+              }
+              break;
+            }
+            default:  // task 5
+              if (source.site_ids.empty()) {
+                std::fill(site_ids, site_ids + n, SiteId{0});
+              } else {
+                std::memcpy(site_ids, source.site_ids.data(),
+                            n * sizeof(SiteId));
+              }
+              break;
+          }
         }
       },
-      section_opts);
+      tasks);
+  BuildSitePostings(
+      {site_ids, n}, {order_by_quality, n},
+      {reinterpret_cast<uint32_t*>(section(kBundleSiteOffsets)),
+       size_t{header.num_sites} + 1},
+      {site_pages, n}, parallel);
+  return w;
+}
 
-  header.payload_crc32 =
-      ParallelBundleCrc32(image.data() + BundleTableEnd(header),
-                          image.size() - BundleTableEnd(header), parallel_);
+BundleHeader ScoreBundleWriter::StampedHeader() const {
+  BundleHeader header = header_;
+  const uint64_t table_end = BundleTableEnd(header);
+  header.payload_crc32 = ParallelBundleCrc32(
+      image_.get() + table_end, image_size_ - table_end, parallel_);
   header.header_crc32 =
       BundleCrc32(reinterpret_cast<const uint8_t*>(&header),
                   offsetof(BundleHeader, header_crc32));
+  return header;
+}
+
+std::vector<uint8_t> ScoreBundleWriter::Serialize() const {
+  std::vector<uint8_t> image(image_.get(), image_.get() + image_size_);
+  const BundleHeader header = StampedHeader();
   std::memcpy(image.data(), &header, sizeof(header));
   return image;
 }
 
 Status ScoreBundleWriter::WriteFile(const std::string& path) const {
-  const std::vector<uint8_t> image = Serialize();
+  const BundleHeader header = StampedHeader();
   std::ofstream f(path, std::ios::binary);
   if (!f) return Status::IOError("cannot open for write: " + path);
-  f.write(reinterpret_cast<const char*>(image.data()),
-          static_cast<std::streamsize>(image.size()));
+  f.write(reinterpret_cast<const char*>(&header), sizeof(header));
+  f.write(reinterpret_cast<const char*>(image_.get() + sizeof(header)),
+          static_cast<std::streamsize>(image_size_ - sizeof(header)));
   f.flush();
   if (!f) return Status::IOError("write failed: " + path);
   return Status::OK();
+}
+
+Result<LoadedBundle> ScoreBundleWriter::Publish() && {
+  LoadedBundle b;
+  b.header_ = kAuditLevel >= 1 ? StampedHeader() : header_;
+  b.published_ = std::move(image_);
+  b.data_ = b.published_.get();
+  b.size_ = image_size_;
+  b.backing_ = LoadedBundle::Backing::kHeap;
+  if constexpr (kAuditLevel >= 1) {
+    std::memcpy(b.published_.get(), &b.header_, sizeof(BundleHeader));
+    QRANK_RETURN_NOT_OK(b.ValidateAndIndex(parallel_));
+  } else {
+    b.IndexSections();
+  }
+  return b;
 }
 
 // ---------------------------------------------------------------------------
@@ -356,16 +406,20 @@ LoadedBundle& LoadedBundle::operator=(LoadedBundle&& other) noexcept {
   size_ = other.size_;
   backing_ = other.backing_;
   heap_ = std::move(other.heap_);
+  published_ = std::move(other.published_);
   map_base_ = other.map_base_;
   map_length_ = other.map_length_;
   header_ = other.header_;
   std::memcpy(sections_, other.sections_, sizeof(sections_));
+  // data_ (if it pointed into heap_ or published_) moved with that
+  // storage, so this bundle's spans stay valid. The source keeps no
+  // view into it: it reports 0 pages and empty spans.
   other.map_base_ = nullptr;
   other.map_length_ = 0;
   other.data_ = nullptr;
   other.size_ = 0;
-  // The moved-from heap_ is already empty; data_ (if it pointed into
-  // heap_) moved with the vector's storage, so the spans stay valid.
+  other.header_ = {};
+  std::fill(std::begin(other.sections_), std::end(other.sections_), nullptr);
   return *this;
 }
 
@@ -387,9 +441,7 @@ Status LoadedBundle::ValidateAndIndex(const ParallelOptions& parallel) {
   if (crc != header_.payload_crc32) {
     return Status::Corruption("bundle payload CRC mismatch");
   }
-  for (uint32_t i = 0; i < header_.section_count; ++i) {
-    sections_[table[i].id] = data_ + table[i].offset;
-  }
+  IndexSections();
 
   // Range-check the index sections once, so the query hot path can
   // index quality()/pagerank()/site groups without per-access bounds
@@ -459,6 +511,15 @@ Status LoadedBundle::ValidateAndIndex(const ParallelOptions& parallel) {
     }
   }
   return Status::OK();
+}
+
+void LoadedBundle::IndexSections() {
+  const BundleSectionEntry* table =
+      reinterpret_cast<const BundleSectionEntry*>(data_ +
+                                                  sizeof(BundleHeader));
+  for (uint32_t i = 0; i < header_.section_count; ++i) {
+    sections_[table[i].id] = data_ + table[i].offset;
+  }
 }
 
 Result<LoadedBundle> LoadedBundle::FromBuffer(std::vector<uint8_t> image,

@@ -4,22 +4,26 @@
 //
 // Write side: ScoreBundleWriter takes the per-page vectors a finished
 // SnapshotSeries + QualityEstimator run produces — Q̂(p), PR(p),
-// external page ids, site ids — validates them, precomputes the serving
-// index (global quality/pagerank orders and per-site postings sorted by
-// quality), and serializes everything into one image.
+// external page ids, site ids — validates them, and writes them with
+// the serving index (global quality/pagerank orders and per-site
+// postings sorted by quality) straight into one image.
 //
-// Read side: LoadedBundle maps a bundle zero-copy via mmap (falling
-// back to a plain read() when mapping is unavailable) and exposes each
-// section as a typed span. Loading validates the header and section
-// table against the real file size BEFORE anything is allocated or
-// mapped, verifies the payload CRC, and range-checks every index
-// section so QueryEngine can serve from the spans without per-query
-// bounds checks.
+// Read side: LoadedBundle exposes each section of an image as a typed
+// span. The CRCs and the full validation guard bytes that cross the
+// process edge: Load maps a file zero-copy via mmap (falling back to a
+// plain read() when mapping is unavailable) and FromBuffer adopts bytes
+// from a file or the wire; both validate the header and section table
+// against the real size BEFORE anything is allocated or mapped, verify
+// the payload CRC, and range-check every index section so QueryEngine
+// can serve from the spans without per-query bounds checks. An
+// in-process publish (ScoreBundleWriter::Publish) adopts the writer's
+// own image, which it built and checked itself, without either pass.
 
 #ifndef QRANK_SERVE_SCORE_BUNDLE_H_
 #define QRANK_SERVE_SCORE_BUNDLE_H_
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -50,40 +54,54 @@ struct ScoreBundleSource {
   uint32_t creator_tag = 0;
 };
 
-/// Builds and serializes score bundles.
+class LoadedBundle;
+
+/// Builds score bundles. Create lays out the header and section table
+/// first, then writes every section straight into one image; the CRC
+/// fields stay zero until bytes leave the process (Serialize,
+/// WriteFile).
 class ScoreBundleWriter {
  public:
   /// Validates `source` (equal sizes, >= 1 page, finite non-negative
-  /// scores, site ids < num_sites) and precomputes the index sections.
-  /// `parallel` sets the executor width for the index build (score-order
-  /// sorts, per-site postings) and for Serialize(); the output image is
-  /// byte-identical for every num_threads value — each score order is
-  /// one serial radix sort (ties broken by ascending row id), the
-  /// postings counting-sort scatters into thread-independent windows,
-  /// and chunked CRCs are folded with BundleCrc32Combine.
+  /// scores, site ids < num_sites) and builds the image: the columns are
+  /// copied once, the two score orders radix-sort into their own
+  /// sections (site_pages is the quality sort's scratch), and the site
+  /// postings fill theirs; only the alignment padding is zeroed.
+  /// `parallel` sets the executor width for the build and for the CRC
+  /// passes of Serialize()/WriteFile(); the image is byte-identical for
+  /// every num_threads value — each score order is one serial radix sort
+  /// (ties broken by ascending row id), the postings counting-sort
+  /// scatters into thread-independent windows, and chunked CRCs are
+  /// folded with BundleCrc32Combine.
   static Result<ScoreBundleWriter> Create(ScoreBundleSource source,
                                           ParallelOptions parallel = {});
 
-  /// The complete bundle image (header + table + sections).
+  /// A copy of the complete image (header + table + sections) with both
+  /// CRCs stamped: the bytes for a file, the wire or a kept image.
   std::vector<uint8_t> Serialize() const;
 
-  /// Serialize() to a file.
+  /// Writes the Serialize() bytes to a file, without the copy.
   Status WriteFile(const std::string& path) const;
 
-  NodeId num_pages() const {
-    return static_cast<NodeId>(source_.quality.size());
-  }
-  SiteId num_sites() const { return source_.num_sites; }
+  /// Hands the image to a LoadedBundle with no copy, no CRC pass and no
+  /// re-validation: the writer built every section and checked every
+  /// input itself. At QRANK_AUDIT_LEVEL >= 1 the CRCs are stamped and
+  /// the full FromBuffer validation runs. Consumes the writer.
+  Result<LoadedBundle> Publish() &&;
+
+  NodeId num_pages() const { return header_.num_pages; }
+  SiteId num_sites() const { return header_.num_sites; }
 
  private:
   ScoreBundleWriter() = default;
 
-  ScoreBundleSource source_;
+  /// header_ with its payload and header CRCs filled in.
+  BundleHeader StampedHeader() const;
+
+  BundleHeader header_ = {};  // as in the image: both CRCs zero
   ParallelOptions parallel_;
-  std::vector<NodeId> order_by_quality_;
-  std::vector<NodeId> order_by_pagerank_;
-  std::vector<uint32_t> site_offsets_;
-  std::vector<NodeId> site_pages_;
+  std::unique_ptr<uint8_t[]> image_;
+  size_t image_size_ = 0;
 };
 
 /// An immutable, validated, queryable bundle image. Movable, not
@@ -92,7 +110,7 @@ class LoadedBundle {
  public:
   enum class Backing {
     kMmap,  // zero-copy file mapping
-    kHeap,  // read() fallback or FromBuffer
+    kHeap,  // read() fallback, FromBuffer or ScoreBundleWriter::Publish
   };
 
   /// Loads and validates a bundle file. With `prefer_mmap` the image is
@@ -101,10 +119,11 @@ class LoadedBundle {
   static Result<LoadedBundle> Load(const std::string& path,
                                    bool prefer_mmap = true);
 
-  /// Adopts and validates an in-memory image (tests, benches, and the
-  /// publish path of an in-process pipeline). `parallel` sets the
-  /// executor width of the validation passes (payload CRC, index range
-  /// checks) — it never changes the accept/reject outcome.
+  /// Adopts and fully validates an image that came from a file or the
+  /// wire (an in-process writer publishes through
+  /// ScoreBundleWriter::Publish instead). `parallel` sets the executor
+  /// width of the validation passes (payload CRC, index range checks) —
+  /// it never changes the accept/reject outcome.
   static Result<LoadedBundle> FromBuffer(std::vector<uint8_t> image,
                                          ParallelOptions parallel = {});
 
@@ -142,8 +161,10 @@ class LoadedBundle {
     return Typed<NodeId>(kBundleOrderByPageRank, header_.num_pages);
   }
   /// Posting-list row starts per site: site s owns
-  /// site_pages()[site_offsets()[s] .. site_offsets()[s+1]).
+  /// site_pages()[site_offsets()[s] .. site_offsets()[s+1]). Empty in a
+  /// moved-from bundle.
   std::span<const uint32_t> site_offsets() const {
+    if (sections_[kBundleSiteOffsets] == nullptr) return {};
     return Typed<uint32_t>(kBundleSiteOffsets,
                            uint64_t{header_.num_sites} + 1);
   }
@@ -153,12 +174,17 @@ class LoadedBundle {
   }
 
  private:
+  friend class ScoreBundleWriter;
+
   LoadedBundle() = default;
 
   /// Validates an image already resident at data_/size_ and resolves
   /// section pointers. Runs payload CRC + index range checks, chunked
   /// across `parallel` executors.
   Status ValidateAndIndex(const ParallelOptions& parallel);
+
+  /// Resolves section pointers from the table of a valid image.
+  void IndexSections();
 
   template <typename T>
   std::span<const T> Typed(uint32_t id, uint64_t count) const {
@@ -169,7 +195,8 @@ class LoadedBundle {
   const uint8_t* data_ = nullptr;
   size_t size_ = 0;
   Backing backing_ = Backing::kHeap;
-  std::vector<uint8_t> heap_;   // kHeap backing
+  std::vector<uint8_t> heap_;   // kHeap backing: read() or FromBuffer
+  std::unique_ptr<uint8_t[]> published_;  // kHeap backing: Publish
   void* map_base_ = nullptr;    // kMmap backing (munmap target)
   size_t map_length_ = 0;
   BundleHeader header_ = {};

@@ -24,6 +24,7 @@
 #include "graph/generators.h"
 #include "rank/pagerank.h"
 #include "serve/query_engine.h"
+#include "serve/score_bundle.h"
 #include "serve/snapshot_store.h"
 
 namespace qrank {
@@ -308,6 +309,27 @@ TEST_P(IngestServiceOracleTest, StreamingOracleMatchesFromScratchRebuild) {
   const std::vector<uint8_t> image = service->LastImage();
   ASSERT_FALSE(image.empty());
   EXPECT_TRUE(AuditScoreBundle(image.data(), image.size()).ok());
+
+  // 5. The bundle published in process (no CRC, no re-validation) is
+  // the one the kept image loads as, span for span.
+  Result<LoadedBundle> reloaded = LoadedBundle::FromBuffer(image);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  EXPECT_EQ(bundle->creator_tag(), reloaded->creator_tag());
+  EXPECT_EQ(bundle->num_sites(), reloaded->num_sites());
+  EXPECT_EQ(bundle->expected_mass(), reloaded->expected_mass());
+  EXPECT_EQ(bundle->image_size(), reloaded->image_size());
+  const auto same = [](auto a, auto b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  };
+  EXPECT_TRUE(same(bundle->quality(), reloaded->quality()));
+  EXPECT_TRUE(same(bundle->pagerank(), reloaded->pagerank()));
+  EXPECT_TRUE(same(bundle->page_ids(), reloaded->page_ids()));
+  EXPECT_TRUE(same(bundle->site_ids(), reloaded->site_ids()));
+  EXPECT_TRUE(same(bundle->order_by_quality(), reloaded->order_by_quality()));
+  EXPECT_TRUE(
+      same(bundle->order_by_pagerank(), reloaded->order_by_pagerank()));
+  EXPECT_TRUE(same(bundle->site_offsets(), reloaded->site_offsets()));
+  EXPECT_TRUE(same(bundle->site_pages(), reloaded->site_pages()));
 }
 
 INSTANTIATE_TEST_SUITE_P(SerialAndPipelined, IngestServiceOracleTest,

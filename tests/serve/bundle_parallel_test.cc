@@ -9,6 +9,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <numeric>
 #include <span>
 #include <string>
@@ -184,6 +187,64 @@ TEST(BundleParallelTest, ParallelValidationAcceptsAndRejectsLikeSerial) {
   EXPECT_EQ(bad.status().code(), StatusCode::kCorruption);
 }
 
+// Every header field and every section span of two bundles, element
+// for element.
+void ExpectSameBundle(const LoadedBundle& a, const LoadedBundle& b) {
+  EXPECT_EQ(a.num_pages(), b.num_pages());
+  EXPECT_EQ(a.num_sites(), b.num_sites());
+  EXPECT_EQ(a.expected_mass(), b.expected_mass());
+  EXPECT_EQ(a.creator_tag(), b.creator_tag());
+  EXPECT_EQ(a.image_size(), b.image_size());
+  const auto same = [](auto x, auto y, const char* name) {
+    EXPECT_TRUE(std::equal(x.begin(), x.end(), y.begin(), y.end())) << name;
+  };
+  same(a.quality(), b.quality(), "quality");
+  same(a.pagerank(), b.pagerank(), "pagerank");
+  same(a.page_ids(), b.page_ids(), "page_ids");
+  same(a.site_ids(), b.site_ids(), "site_ids");
+  same(a.order_by_quality(), b.order_by_quality(), "order_by_quality");
+  same(a.order_by_pagerank(), b.order_by_pagerank(), "order_by_pagerank");
+  same(a.site_offsets(), b.site_offsets(), "site_offsets");
+  same(a.site_pages(), b.site_pages(), "site_pages");
+}
+
+// The in-process publish (no copy, no CRC, no re-validation) serves the
+// same bundle as the file/wire path, and Serialize() beside it — the
+// kept-image path of the ingest loop — stays byte-identical at every
+// thread count.
+TEST(BundleParallelTest, PublishServesWhatFromBufferLoads) {
+  struct Shape {
+    NodeId pages;
+    SiteId sites;
+  };
+  for (const Shape shape : {Shape{30000, 37}, Shape{100, 1}, Shape{1, 1},
+                            Shape{1, 4}}) {
+    const ScoreBundleSource source =
+        SyntheticSource(shape.pages, shape.sites, shape.pages + shape.sites);
+    std::vector<uint8_t> serial_image;
+    for (const int threads : {1, 2, 4, 8}) {
+      SCOPED_TRACE("pages " + std::to_string(shape.pages) + " sites " +
+                   std::to_string(shape.sites) + " threads " +
+                   std::to_string(threads));
+      ParallelOptions opts;
+      opts.num_threads = threads;
+      Result<ScoreBundleWriter> writer =
+          ScoreBundleWriter::Create(source, opts);
+      ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+      std::vector<uint8_t> image = writer.value().Serialize();
+      if (threads == 1) serial_image = image;
+      ASSERT_EQ(image, serial_image);
+      Result<LoadedBundle> published = std::move(writer).value().Publish();
+      ASSERT_TRUE(published.ok()) << published.status().ToString();
+      EXPECT_EQ(published.value().backing(), LoadedBundle::Backing::kHeap);
+      Result<LoadedBundle> loaded =
+          LoadedBundle::FromBuffer(std::move(image), opts);
+      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+      ExpectSameBundle(published.value(), loaded.value());
+    }
+  }
+}
+
 // Score columns for the serving-order tests. Every shape is finite and
 // non-negative (what ScoreBundleWriter accepts) but stresses the radix
 // key: ties, -0.0 beside +0.0, the smallest subnormal, huge values, and
@@ -277,6 +338,75 @@ TEST(BundleParallelTest, RadixOrderMatchesComparatorSortOnEdgeScores) {
       }
     }
   }
+}
+
+// Golden images: the size and full-image CRC-32 of Serialize() for
+// fixed sources, pinned from the writer that still copied finished
+// sections into a zero-filled image. Any drift in the layout, the
+// padding, an index section or a stamped CRC changes them.
+struct GoldenImage {
+  const char* name;
+  ScoreBundleSource source;
+  size_t size;
+  uint32_t crc;
+};
+
+std::vector<GoldenImage> GoldenImages() {
+  std::vector<GoldenImage> golden;
+  // 16 pages over 2 sites: page ids and the mass derived.
+  golden.push_back({"tiny", SyntheticSource(16, 2, 16), 896, 0x0f41f826u});
+  // 3 pages, every default derived: identity ids, one site 0.
+  ScoreBundleSource defaults;
+  defaults.quality = {3.0, 1.0, 2.0};
+  defaults.pagerank = {1.0, 1.5, 0.5};
+  golden.push_back({"defaults", defaults, 716, 0x093be6b4u});
+  // 655 sites x 200 pages (the e2e shape): coarse quality ties, and a
+  // pagerank column of ties, -0.0 beside +0.0 and a subnormal.
+  constexpr SiteId kSites = 655;
+  constexpr NodeId kPagesPerSite = 200;
+  constexpr NodeId kPages = kSites * kPagesPerSite;
+  ScoreBundleSource site = SyntheticSource(kPages, kSites, 0x901d);
+  site.pagerank = ShapedColumn(ColumnShape::kSignedZeros, kPages, 19);
+  site.page_ids.resize(kPages);
+  for (NodeId p = 0; p < kPages; ++p) {
+    site.page_ids[p] = 3 * p + 1;
+    site.site_ids[p] = p / kPagesPerSite;
+  }
+  site.creator_tag = 27;
+  golden.push_back({"sites_131k", std::move(site), 4'719'008, 0x395d4d8au});
+  return golden;
+}
+
+TEST(BundleGoldenTest, SerializedImagesMatchPinnedCrc) {
+  for (const GoldenImage& g : GoldenImages()) {
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(std::string(g.name) + " threads=" +
+                   std::to_string(threads));
+      ParallelOptions opts;
+      opts.num_threads = threads;
+      Result<ScoreBundleWriter> writer =
+          ScoreBundleWriter::Create(g.source, opts);
+      ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+      const std::vector<uint8_t> image = writer.value().Serialize();
+      EXPECT_EQ(image.size(), g.size);
+      EXPECT_EQ(BundleCrc32(image.data(), image.size()), g.crc);
+    }
+  }
+}
+
+TEST(BundleGoldenTest, WriteFileBytesEqualSerialize) {
+  const std::string path = ::testing::TempDir() + "/golden_write.qrkb";
+  for (const GoldenImage& g : GoldenImages()) {
+    SCOPED_TRACE(g.name);
+    Result<ScoreBundleWriter> writer = ScoreBundleWriter::Create(g.source);
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    ASSERT_TRUE(writer.value().WriteFile(path).ok());
+    std::ifstream in(path, std::ios::binary);
+    const std::vector<uint8_t> written((std::istreambuf_iterator<char>(in)),
+                                       std::istreambuf_iterator<char>());
+    EXPECT_EQ(written, writer.value().Serialize());
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -138,11 +138,41 @@ TEST_F(ScoreBundleTest, MoveTransfersMapping) {
                   .value()
                   .WriteFile(path)
                   .ok());
-  Result<LoadedBundle> loaded = LoadedBundle::Load(path, true);
-  ASSERT_TRUE(loaded.ok());
-  LoadedBundle moved = std::move(loaded).value();
-  LoadedBundle moved_again = std::move(moved);
-  ExpectValidBundle(moved_again, 16, 2);
+  // A moved-from bundle keeps no view into the storage it gave away: it
+  // reports 0 pages and empty spans, for mapped, read-in and published
+  // bundles alike, by move construction and by move assignment.
+  const auto expect_empty = [](const LoadedBundle& b) {
+    EXPECT_EQ(b.num_pages(), 0u);
+    EXPECT_EQ(b.num_sites(), 0u);
+    EXPECT_EQ(b.image_size(), 0u);
+    EXPECT_TRUE(b.quality().empty());
+    EXPECT_TRUE(b.pagerank().empty());
+    EXPECT_TRUE(b.page_ids().empty());
+    EXPECT_TRUE(b.site_ids().empty());
+    EXPECT_TRUE(b.order_by_quality().empty());
+    EXPECT_TRUE(b.order_by_pagerank().empty());
+    EXPECT_TRUE(b.site_offsets().empty());
+    EXPECT_TRUE(b.site_pages().empty());
+  };
+  std::vector<Result<LoadedBundle>> bundles;
+  bundles.push_back(LoadedBundle::Load(path, true));
+  bundles.push_back(LoadedBundle::Load(path, false));
+  bundles.push_back(ScoreBundleWriter::Create(MakeSource(16, 2))
+                        .value()
+                        .Publish());
+  ASSERT_EQ(bundles[0]->backing(), LoadedBundle::Backing::kMmap);
+  for (Result<LoadedBundle>& loaded : bundles) {
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    LoadedBundle moved = std::move(loaded).value();
+    {
+      LoadedBundle moved_again = std::move(moved);
+      expect_empty(moved);
+      ExpectValidBundle(moved_again, 16, 2);
+      moved = std::move(moved_again);
+      expect_empty(moved_again);
+    }
+    ExpectValidBundle(moved, 16, 2);
+  }
 }
 
 TEST_F(ScoreBundleTest, WriterDerivesDefaults) {
